@@ -27,11 +27,11 @@ use staccato_core::{approximate, StaccatoParams};
 use staccato_ocr::{Channel, ChannelConfig, Dataset};
 use staccato_sfa::{codec, k_best_paths, Sfa};
 use staccato_storage::{
-    BTree, BlobStore, BufferPool, ColumnType, Database, HeapFile, HeapScan, Rid, RowReader, Schema,
+    BTree, BufferPool, ColumnType, Database, HeapFile, HeapScan, Rid, RowReader, Schema,
     StorageError, Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Loader options.
 #[derive(Debug, Clone)]
@@ -197,56 +197,13 @@ impl OcrStore {
         });
 
         // Phase 2: sequential inserts.
-        db.create_table(
-            "MasterData",
-            Schema::new(&[
-                ("DataKey", ColumnType::Int),
-                ("DocName", ColumnType::Text),
-                ("SFANum", ColumnType::Int),
-            ]),
-        )?;
-        db.create_table(
-            "MAPData",
-            Schema::new(&[
-                ("DataKey", ColumnType::Int),
-                ("Data", ColumnType::Text),
-                ("LogProb", ColumnType::Float),
-            ]),
-        )?;
-        db.create_table(
-            "kMAPData",
-            Schema::new(&[
-                ("DataKey", ColumnType::Int),
-                ("LineNum", ColumnType::Int),
-                ("Data", ColumnType::Text),
-                ("LogProb", ColumnType::Float),
-            ]),
-        )?;
-        db.create_table(
-            "FullSFAData",
-            Schema::new(&[("DataKey", ColumnType::Int), ("SFABlob", ColumnType::Blob)]),
-        )?;
-        db.create_table(
-            "StaccatoData",
-            Schema::new(&[
-                ("DataKey", ColumnType::Int),
-                ("ChunkNum", ColumnType::Int),
-                ("LineNum", ColumnType::Int),
-                ("Data", ColumnType::Text),
-                ("LogProb", ColumnType::Float),
-            ]),
-        )?;
-        db.create_table(
-            "StaccatoGraph",
-            Schema::new(&[
-                ("DataKey", ColumnType::Int),
-                ("GraphBlob", ColumnType::Blob),
-            ]),
-        )?;
-        db.create_table(
-            "GroundTruth",
-            Schema::new(&[("DataKey", ColumnType::Int), ("Data", ColumnType::Text)]),
-        )?;
+        db.create_table("MasterData", master_schema())?;
+        db.create_table("MAPData", map_schema())?;
+        db.create_table("kMAPData", kmap_schema())?;
+        db.create_table("FullSFAData", blob_schema("SFABlob"))?;
+        db.create_table("StaccatoData", stacd_schema())?;
+        db.create_table("StaccatoGraph", blob_schema("GraphBlob"))?;
+        db.create_table("GroundTruth", truth_schema())?;
         db.create_table("StaccatoHistory", history_schema())?;
         db.create_index("FullSFAData_pk")?;
         db.create_index("StaccatoGraph_pk")?;
@@ -330,102 +287,87 @@ impl OcrStore {
         art: &LineArtifacts,
     ) -> Result<(), QueryError> {
         let pool = self.db.pool();
-        let enc = staccato_storage::row::encode_row;
-        let (_, master) = self.db.table("MasterData")?;
-        let (_, map_t) = self.db.table("MAPData")?;
-        let (_, kmap_t) = self.db.table("kMAPData")?;
-        let (_, full_t) = self.db.table("FullSFAData")?;
-        let (_, stacd_t) = self.db.table("StaccatoData")?;
-        let (_, stacg_t) = self.db.table("StaccatoGraph")?;
-        let (_, truth_t) = self.db.table("GroundTruth")?;
+        let (master_s, master) = self.db.table("MasterData")?;
+        let (map_s, map_t) = self.db.table("MAPData")?;
+        let (kmap_s, kmap_t) = self.db.table("kMAPData")?;
+        let (full_s, full_t) = self.db.table("FullSFAData")?;
+        let (stacd_s, stacd_t) = self.db.table("StaccatoData")?;
+        let (stacg_s, stacg_t) = self.db.table("StaccatoGraph")?;
+        let (truth_s, truth_t) = self.db.table("GroundTruth")?;
         let full_pk = self.db.index("FullSFAData_pk")?;
         let stacg_pk = self.db.index("StaccatoGraph_pk")?;
 
         let mut delta = RepresentationSizes::default();
         delta.text += art.clean.len() as u64 + 1;
-        master.insert(
+        master.insert_row(
             pool,
-            &enc(
-                &master_schema(),
-                &vec![
-                    Value::Int(key),
-                    Value::Text(art.doc_name.clone()),
-                    Value::Int(art.sfa_num),
-                ],
-            )?,
+            &master_s,
+            &vec![
+                Value::Int(key),
+                Value::Text(art.doc_name.clone()),
+                Value::Int(art.sfa_num),
+            ],
         )?;
         if let Some((s, p)) = art.kmap.first() {
             delta.map += s.len() as u64 + 16;
-            map_t.insert(
+            map_t.insert_row(
                 pool,
-                &enc(
-                    &map_schema(),
-                    &vec![
-                        Value::Int(key),
-                        Value::Text(s.clone()),
-                        Value::Float(p.ln()),
-                    ],
-                )?,
+                &map_s,
+                &vec![
+                    Value::Int(key),
+                    Value::Text(s.clone()),
+                    Value::Float(p.ln()),
+                ],
             )?;
         }
         for (rank, (s, p)) in art.kmap.iter().enumerate() {
             delta.kmap += s.len() as u64 + 16;
-            kmap_t.insert(
+            kmap_t.insert_row(
                 pool,
-                &enc(
-                    &kmap_schema(),
-                    &vec![
-                        Value::Int(key),
-                        Value::Int(rank as i64),
-                        Value::Text(s.clone()),
-                        Value::Float(p.ln()),
-                    ],
-                )?,
+                &kmap_s,
+                &vec![
+                    Value::Int(key),
+                    Value::Int(rank as i64),
+                    Value::Text(s.clone()),
+                    Value::Float(p.ln()),
+                ],
             )?;
         }
+        // Blobs go inline when their row fits in a page, else to an
+        // overflow chain (`HeapFile::insert_row`).
         delta.full_sfa += art.full_blob.len() as u64;
-        let full_blob = BlobStore::put(pool, &art.full_blob)?;
-        let rid = full_t.insert(
+        let rid = full_t.insert_row(
             pool,
-            &enc(
-                &blob_schema("SFABlob"),
-                &vec![Value::Int(key), Value::Blob(full_blob)],
-            )?,
+            &full_s,
+            &vec![Value::Int(key), Value::InlineBlob(art.full_blob.clone())],
         )?;
         full_pk.insert(pool, &key.to_be_bytes(), rid.to_u64())?;
 
         for (ci, rank, s, lp) in &art.stac_chunks {
-            stacd_t.insert(
+            stacd_t.insert_row(
                 pool,
-                &enc(
-                    &stacd_schema(),
-                    &vec![
-                        Value::Int(key),
-                        Value::Int(*ci),
-                        Value::Int(*rank),
-                        Value::Text(s.clone()),
-                        Value::Float(*lp),
-                    ],
-                )?,
+                &stacd_s,
+                &vec![
+                    Value::Int(key),
+                    Value::Int(*ci),
+                    Value::Int(*rank),
+                    Value::Text(s.clone()),
+                    Value::Float(*lp),
+                ],
             )?;
         }
         delta.staccato += art.stac_blob.len() as u64;
-        let stac_blob = BlobStore::put(pool, &art.stac_blob)?;
-        let rid = stacg_t.insert(
+        let rid = stacg_t.insert_row(
             pool,
-            &enc(
-                &blob_schema("GraphBlob"),
-                &vec![Value::Int(key), Value::Blob(stac_blob)],
-            )?,
+            &stacg_s,
+            &vec![Value::Int(key), Value::InlineBlob(art.stac_blob.clone())],
         )?;
         stacg_pk.insert(pool, &key.to_be_bytes(), rid.to_u64())?;
 
-        truth_t.insert(
+        truth_t.insert_row(
             pool,
-            &enc(
-                &truth_schema(),
-                &vec![Value::Int(key), Value::Text(art.clean.clone())],
-            )?,
+            &truth_s,
+            &vec![Value::Int(key), Value::Text(art.clean.clone())],
         )?;
 
         let mut sizes = self.sizes.lock().expect("sizes lock");
@@ -440,20 +382,18 @@ impl OcrStore {
     /// Append one row to `StaccatoHistory`.
     pub(crate) fn insert_history(&self, row: &HistoryRow) -> Result<(), QueryError> {
         let (schema, heap) = self.db.table("StaccatoHistory")?;
-        heap.insert(
+        heap.insert_row(
             self.db.pool(),
-            &staccato_storage::row::encode_row(
-                &schema,
-                &vec![
-                    Value::Int(row.data_key),
-                    Value::Text(row.file_name.clone()),
-                    Value::Text(row.provider.clone()),
-                    Value::Float(row.confidence),
-                    Value::Int(row.processing_time_ms),
-                    Value::Int(row.ingested_at),
-                    Value::Int(row.batch_seq as i64),
-                ],
-            )?,
+            &schema,
+            &vec![
+                Value::Int(row.data_key),
+                Value::Text(row.file_name.clone()),
+                Value::Text(row.provider.clone()),
+                Value::Float(row.confidence),
+                Value::Int(row.processing_time_ms),
+                Value::Int(row.ingested_at),
+                Value::Int(row.batch_seq as i64),
+            ],
         )?;
         Ok(())
     }
@@ -561,11 +501,11 @@ impl OcrStore {
         })
     }
 
-    /// Visit every blob of `table` with borrowed bytes: one reusable blob
-    /// buffer, no per-row allocation. The streaming sibling of
-    /// [`BlobCursor`] for single-threaded scans — the scan-kernel hot
-    /// path, where handing each worker an owned `Vec<u8>` per row costs
-    /// more than evaluating it.
+    /// Visit every blob of `table` with borrowed bytes: no per-row
+    /// allocation. The streaming sibling of [`BlobCursor`] for
+    /// single-threaded scans — the scan-kernel hot path, where handing
+    /// each worker an owned `Vec<u8>` per row costs more than evaluating
+    /// it.
     fn for_each_blob(
         &self,
         table: &'static str,
@@ -579,11 +519,11 @@ impl OcrStore {
             let key = r.int()?;
             let blob = r.blob()?;
             r.finish()?;
-            // Row-sized blobs are borrowed straight off their buffer-pool
-            // page (no copy); only multi-page chains assemble into the
-            // reusable buffer. The callback only reads, so holding the
-            // page's read latch across it is fine.
-            BlobStore::with_blob(pool, blob, &mut blob_buf, |bytes| f(key, bytes))?
+            // Inline blobs are borrowed straight off the read-latched heap
+            // page; only overflow chains assemble into the reusable
+            // buffer. The callback only reads, so holding the latch
+            // across it is fine.
+            blob.with_bytes(pool, &mut blob_buf, |bytes| f(key, bytes))?
         })
     }
 
@@ -683,10 +623,14 @@ impl OcrStore {
             .get(self.db.pool(), &key.to_be_bytes())?
             .ok_or(QueryError::MissingRepresentation("StaccatoGraph row"))?;
         let (schema, heap) = self.db.table("StaccatoGraph")?;
-        let bytes = heap.get(self.db.pool(), Rid::from_u64(rid))?;
-        let row = staccato_storage::row::decode_row(&schema, &bytes)?;
-        let data = BlobStore::get(self.db.pool(), row[1].as_blob().expect("schema"))?;
-        Ok(codec::decode(&data)?)
+        let row = heap.get(self.db.pool(), Rid::from_u64(rid))?;
+        let mut r = RowReader::new(&schema, &row);
+        r.int()?;
+        let blob = r.blob()?;
+        r.finish()?;
+        let mut buf = Vec::new();
+        blob.with_bytes(self.db.pool(), &mut buf, codec::decode)?
+            .map_err(QueryError::from)
     }
 
     /// Ground-truth clean lines: `(DataKey, text)`.
@@ -705,7 +649,7 @@ impl OcrStore {
     }
 
     /// Direct access to a table + heap (for the experiment harness).
-    pub fn table(&self, name: &str) -> Result<(Schema, HeapFile), QueryError> {
+    pub fn table(&self, name: &str) -> Result<(Schema, Arc<HeapFile>), QueryError> {
         Ok(self.db.table(name)?)
     }
 
@@ -916,10 +860,11 @@ impl Iterator for BlobCursor<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         let item = self.scan.next()?;
         Some(item.map_err(QueryError::from).and_then(|(_, bytes)| {
-            let row = staccato_storage::row::decode_row(&self.schema, &bytes)?;
-            let key = row[0].as_int().expect("schema");
-            let blob = row[1].as_blob().expect("schema");
-            Ok((key, BlobStore::get(self.pool, blob)?))
+            let mut r = RowReader::new(&self.schema, &bytes);
+            let key = r.int()?;
+            let blob = r.blob()?;
+            r.finish()?;
+            Ok((key, blob.to_vec(self.pool)?))
         }))
     }
 }

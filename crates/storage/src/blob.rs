@@ -1,10 +1,14 @@
-//! Large-object storage: byte strings of arbitrary length as page chains.
+//! Blob values (the `OID` columns of Table 5: `FullSFAData.SFABlob` and
+//! `StaccatoGraph.GraphBlob`) and their overflow page chains.
 //!
-//! This is the analogue of PostgreSQL's large objects (the `OID` columns
-//! of Table 5): `FullSFAData.SFABlob` and `StaccatoGraph.GraphBlob` are
-//! stored here. A blob id is the id of its first page.
+//! A blob is stored *inline* in its heap row whenever the encoded row
+//! fits in one page ([`crate::page::MAX_TUPLE`]), so a scan reads it off
+//! the page it already holds. Only a blob whose row would not fit goes to
+//! an overflow chain here, PostgreSQL's TOAST rule; the row then holds
+//! the chain's first page ([`crate::heap::HeapFile::insert_row`] makes
+//! the choice). The catalog's own serialized blob is also a chain.
 //!
-//! Page layout: `[next u64][len u32][payload …]`. Reading a 600 kB
+//! Chain page layout: `[next u64][len u32][payload …]`. Reading a 600 kB
 //! line-SFA therefore touches ~75 pages — exactly the I/O amplification
 //! the paper's FullSFA baseline pays.
 
@@ -15,6 +19,44 @@ use crate::{PageId, NO_PAGE, PAGE_SIZE};
 const HEADER: usize = 12;
 /// Payload bytes per blob page.
 pub const BLOB_PAYLOAD: usize = PAGE_SIZE - HEADER;
+
+/// A blob value as read from a row: borrowed inline bytes, or the first
+/// page of an overflow chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlobRef<'a> {
+    /// Bytes stored inline in the row.
+    Inline(&'a [u8]),
+    /// First page of an overflow chain.
+    Overflow(PageId),
+}
+
+impl BlobRef<'_> {
+    /// Run `f` over the blob's bytes: inline bytes are passed as they
+    /// are, with no page fetch; an overflow chain is assembled into `buf`
+    /// first.
+    pub fn with_bytes<R>(
+        self,
+        pool: &BufferPool,
+        buf: &mut Vec<u8>,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, StorageError> {
+        match self {
+            BlobRef::Inline(bytes) => Ok(f(bytes)),
+            BlobRef::Overflow(id) => {
+                BlobStore::get_into(pool, id, buf)?;
+                Ok(f(buf))
+            }
+        }
+    }
+
+    /// The blob's bytes, owned.
+    pub fn to_vec(self, pool: &BufferPool) -> Result<Vec<u8>, StorageError> {
+        match self {
+            BlobRef::Inline(bytes) => Ok(bytes.to_vec()),
+            BlobRef::Overflow(id) => BlobStore::get(pool, id),
+        }
+    }
+}
 
 /// Stateless accessor for blob chains.
 pub struct BlobStore;
@@ -72,34 +114,6 @@ impl BlobStore {
             pid = next;
         }
         Ok(())
-    }
-
-    /// Run `f` over a blob's bytes without materializing them when
-    /// possible: a single-page blob (the common case for row-sized
-    /// payloads — `BLOB_PAYLOAD` is just under 4 kB) is borrowed
-    /// straight from the buffer-pool page under its read latch; longer
-    /// chains are assembled into `buf` first. `f` runs with the latch
-    /// held, so it must not write through the same pool (reads of other
-    /// pages are fine).
-    pub fn with_blob<R>(
-        pool: &BufferPool,
-        id: PageId,
-        buf: &mut Vec<u8>,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R, StorageError> {
-        {
-            let page = pool.fetch_read(id)?;
-            let next = u64::from_le_bytes(page[0..8].try_into().expect("len"));
-            let len = u32::from_le_bytes(page[8..12].try_into().expect("len")) as usize;
-            if len > BLOB_PAYLOAD {
-                return Err(StorageError::CorruptBlob { first_page: id });
-            }
-            if next == NO_PAGE {
-                return Ok(f(&page[HEADER..HEADER + len]));
-            }
-        }
-        Self::get_into(pool, id, buf)?;
-        Ok(f(buf))
     }
 
     /// Length of a blob in bytes without materializing it.

@@ -2,7 +2,12 @@
 //! the [`Database`] facade tying pool + catalog together.
 //!
 //! Layout: page 0 is the database anchor — magic bytes and the page id of
-//! the serialized catalog blob. [`Database::save`] rewrites the catalog
+//! the serialized catalog blob. The magic doubles as the on-disk format
+//! version: `STDB` files store every blob in its own page chain, with an
+//! untagged blob reference in the row; `STD2` files tag each blob value
+//! and keep row-sized blobs inline ([`crate::row`]). Opening an `STDB`
+//! file fails with [`StorageError::IncompatibleFormat`] rather than
+//! misreading its rows. [`Database::save`] rewrites the catalog
 //! blob and repoints the anchor (superseded catalog pages are leaked; a
 //! vacuum pass is future work, as it was for the paper's prototype).
 
@@ -17,8 +22,11 @@ use crate::{PageId, NO_PAGE};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"STDB";
+const MAGIC: &[u8; 4] = b"STD2";
+/// The format before blobs were tagged and stored inline.
+const UNTAGGED_BLOB_MAGIC: &[u8; 4] = b"STDB";
 
 /// A table's catalog entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,10 +167,13 @@ impl Catalog {
     }
 }
 
-/// A database: buffer pool + catalog.
+/// A database: buffer pool + catalog, and one [`HeapFile`] handle per
+/// table, so every append to a table goes through the handle that knows
+/// its tail.
 pub struct Database {
     pool: BufferPool,
     catalog: Mutex<Catalog>,
+    heaps: Mutex<BTreeMap<String, Arc<HeapFile>>>,
 }
 
 impl Database {
@@ -178,6 +189,7 @@ impl Database {
         Ok(Database {
             pool,
             catalog: Mutex::new(Catalog::default()),
+            heaps: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -195,6 +207,11 @@ impl Database {
     pub fn open(path: impl AsRef<Path>, frames: usize) -> Result<Database, StorageError> {
         let pool = BufferPool::new(Box::new(FileDisk::open(path)?), frames);
         let anchor = pool.fetch_read(0)?;
+        if &anchor[0..4] == UNTAGGED_BLOB_MAGIC {
+            return Err(StorageError::IncompatibleFormat(
+                "file uses the untagged blob row encoding (STDB); reload it from source",
+            ));
+        }
         if &anchor[0..4] != MAGIC {
             return Err(StorageError::CorruptPage {
                 page: 0,
@@ -208,9 +225,15 @@ impl Database {
         } else {
             Catalog::decode(&BlobStore::get(&pool, cat_blob)?)?
         };
+        let heaps = catalog
+            .tables
+            .values()
+            .map(|t| (t.name.clone(), Arc::new(HeapFile::open(t.first_page))))
+            .collect();
         Ok(Database {
             pool,
             catalog: Mutex::new(catalog),
+            heaps: Mutex::new(heaps),
         })
     }
 
@@ -220,12 +243,15 @@ impl Database {
     }
 
     /// Create a table; errors if the name exists.
-    pub fn create_table(&self, name: &str, schema: Schema) -> Result<HeapFile, StorageError> {
+    pub fn create_table(&self, name: &str, schema: Schema) -> Result<Arc<HeapFile>, StorageError> {
         let mut cat = self.catalog.lock();
         if cat.tables.contains_key(name) {
             return Err(StorageError::DuplicateObject(name.to_string()));
         }
-        let heap = HeapFile::create(&self.pool)?;
+        let heap = Arc::new(HeapFile::create(&self.pool)?);
+        self.heaps
+            .lock()
+            .insert(name.to_string(), Arc::clone(&heap));
         cat.tables.insert(
             name.to_string(),
             TableDef {
@@ -237,14 +263,15 @@ impl Database {
         Ok(heap)
     }
 
-    /// Look up a table.
-    pub fn table(&self, name: &str) -> Result<(Schema, HeapFile), StorageError> {
+    /// Look up a table: its schema and the database's heap handle.
+    pub fn table(&self, name: &str) -> Result<(Schema, Arc<HeapFile>), StorageError> {
         let cat = self.catalog.lock();
         let def = cat
             .tables
             .get(name)
             .ok_or_else(|| StorageError::NoSuchObject(name.to_string()))?;
-        Ok((def.schema.clone(), HeapFile::open(def.first_page)))
+        let heap = Arc::clone(&self.heaps.lock()[name]);
+        Ok((def.schema.clone(), heap))
     }
 
     /// Create a B+-tree index; errors if the name exists.
@@ -434,6 +461,27 @@ mod tests {
         assert!(matches!(
             Database::open(&path, 16),
             Err(StorageError::CorruptPage { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_refuses_the_untagged_blob_format() {
+        let dir = std::env::temp_dir().join(format!("staccato-db-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v1.db");
+        {
+            let db = Database::create(&path, 32).unwrap();
+            db.create_table("a", claims_schema()).unwrap();
+            db.save().unwrap();
+        }
+        // Rewrite the anchor's magic to the previous format's.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[0..4].copy_from_slice(UNTAGGED_BLOB_MAGIC);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            Database::open(&path, 16),
+            Err(StorageError::IncompatibleFormat(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

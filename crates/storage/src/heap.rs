@@ -2,11 +2,13 @@
 //! pages, addressed by RID (page, slot) — the layout behind every table in
 //! the paper's Table 5 schema.
 
+use crate::blob::BlobStore;
 use crate::error::StorageError;
-use crate::page::SlottedPage;
+use crate::page::{SlottedPage, MAX_TUPLE};
 use crate::pager::BufferPool;
+use crate::row::{encode_row, Row, Schema, Value};
 use crate::{PageId, NO_PAGE};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
 
 /// Record id: a physical tuple address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,11 +35,16 @@ impl Rid {
     }
 }
 
-/// A heap file rooted at its first page.
+/// A heap file rooted at its first page. Appends go to the tail page
+/// only, so rows stay in insert order and an append costs one page fetch
+/// however long the chain is. Keep one handle per heap (the
+/// [`crate::Database`] owns one per table): the tail is cached in the
+/// handle.
 pub struct HeapFile {
     first: PageId,
-    /// Cached tail page for O(1) appends; lazily discovered.
-    last_hint: AtomicU64,
+    /// The last page of the chain; `NO_PAGE` until the first append of a
+    /// reopened heap walks the chain to find it.
+    tail: Mutex<PageId>,
 }
 
 impl HeapFile {
@@ -48,7 +55,7 @@ impl HeapFile {
         SlottedPage::init(&mut page);
         Ok(HeapFile {
             first,
-            last_hint: AtomicU64::new(first),
+            tail: Mutex::new(first),
         })
     }
 
@@ -56,7 +63,7 @@ impl HeapFile {
     pub fn open(first: PageId) -> HeapFile {
         HeapFile {
             first,
-            last_hint: AtomicU64::new(first),
+            tail: Mutex::new(NO_PAGE),
         }
     }
 
@@ -65,44 +72,77 @@ impl HeapFile {
         self.first
     }
 
-    /// Append a tuple, growing the chain as needed.
+    /// Append a tuple to the tail page, growing the chain when it is
+    /// full. Appends to one heap serialize on the tail.
     pub fn insert(&self, pool: &BufferPool, tuple: &[u8]) -> Result<Rid, StorageError> {
-        if tuple.len() > crate::page::MAX_TUPLE {
+        if tuple.len() > MAX_TUPLE {
             return Err(StorageError::TupleTooLarge {
                 size: tuple.len(),
-                max: crate::page::MAX_TUPLE,
+                max: MAX_TUPLE,
             });
         }
-        let mut pid = self.last_hint.load(Ordering::Relaxed);
+        let mut tail = self.tail.lock();
+        if *tail == NO_PAGE {
+            *tail = walk_chain(pool, self.first)?.1;
+        }
         loop {
-            let mut page = pool.fetch_write(pid)?;
+            let mut page = pool.fetch_write(*tail)?;
             let mut sp = SlottedPage::new(&mut page);
-            if let Some(slot) = sp.insert(tuple) {
-                self.last_hint.store(pid, Ordering::Relaxed);
-                return Ok(Rid { page: pid, slot });
-            }
-            let next = sp.next();
-            if next != NO_PAGE {
-                drop(page);
-                pid = next;
+            if sp.next() != NO_PAGE {
+                // Another handle grew the chain; catch up.
+                *tail = sp.next();
                 continue;
             }
-            // Grow the chain.
+            if let Some(slot) = sp.insert(tuple) {
+                return Ok(Rid { page: *tail, slot });
+            }
+            // Grow the chain. The new page is initialized and filled
+            // before it is linked, so a scan that follows the link
+            // always finds a valid page.
             let new_pid = pool.allocate()?;
-            sp.set_next(new_pid);
-            drop(page);
             let mut new_page = pool.fetch_write(new_pid)?;
-            SlottedPage::init(&mut new_page);
+            let slot = SlottedPage::init(&mut new_page)
+                .insert(tuple)
+                .expect("a fresh page holds any tuple up to MAX_TUPLE");
             drop(new_page);
-            pid = new_pid;
+            sp.set_next(new_pid);
+            *tail = new_pid;
+            return Ok(Rid {
+                page: new_pid,
+                slot,
+            });
         }
+    }
+
+    /// Encode `row` against `schema` and append it. Blob values stay
+    /// inline while the encoded row fits in one page ([`MAX_TUPLE`]); a
+    /// row that would not fit first moves its inline blobs to overflow
+    /// chains ([`BlobStore`]), PostgreSQL's TOAST rule. A row too large
+    /// even then is refused with [`StorageError::TupleTooLarge`].
+    pub fn insert_row(
+        &self,
+        pool: &BufferPool,
+        schema: &Schema,
+        row: &Row,
+    ) -> Result<Rid, StorageError> {
+        let bytes = encode_row(schema, row)?;
+        if bytes.len() <= MAX_TUPLE {
+            return self.insert(pool, &bytes);
+        }
+        let mut spilled = Vec::with_capacity(row.len());
+        for value in row {
+            spilled.push(match value {
+                Value::InlineBlob(bytes) => Value::Blob(BlobStore::put(pool, bytes)?),
+                other => other.clone(),
+            });
+        }
+        self.insert(pool, &encode_row(schema, &spilled)?)
     }
 
     /// Fetch a tuple by RID.
     pub fn get(&self, pool: &BufferPool, rid: Rid) -> Result<Vec<u8>, StorageError> {
-        let mut page = pool.fetch_write(rid.page)?;
-        let sp = SlottedPage::new(&mut page);
-        sp.get(rid.slot)
+        SlottedPage::view(pool.fetch_read(rid.page)?)
+            .get(rid.slot)
             .map(|b| b.to_vec())
             .map_err(|_| StorageError::TupleNotFound {
                 page: rid.page,
@@ -121,30 +161,23 @@ impl HeapFile {
             })
     }
 
-    /// Visit every tuple in chain order with *borrowed* bytes: each page
-    /// is copied once into a reusable buffer, its latch released, and `f`
-    /// called on tuple slices into that copy. The allocation-free sibling
-    /// of [`HeapFile::scan`] for tight sequential scans — no per-row
-    /// `Vec`, and `f` runs with no page pinned, so it may take as long as
-    /// it likes without blocking writers or eviction.
+    /// Visit every tuple in chain order with bytes borrowed straight from
+    /// the read-latched page: no copy, no per-row `Vec`. `f` runs while
+    /// the page's read latch is held, so it must not write to the pool
+    /// (reading other pages is fine), and an append to this page waits
+    /// until `f` is done with it.
     pub fn for_each_row<E: From<StorageError>>(
         &self,
         pool: &BufferPool,
         mut f: impl FnMut(Rid, &[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut copy: Box<[u8; crate::PAGE_SIZE]> = Box::new([0u8; crate::PAGE_SIZE]);
         let mut pid = self.first;
         while pid != NO_PAGE {
-            {
-                let page = pool.fetch_read(pid)?;
-                copy.copy_from_slice(&page[..]);
-            }
-            let sp = SlottedPage::new(&mut copy);
-            let next = sp.next();
+            let sp = SlottedPage::view(pool.fetch_read(pid)?);
             for (slot, bytes) in sp.iter() {
                 f(Rid { page: pid, slot }, bytes)?;
             }
-            pid = next;
+            pid = sp.next();
         }
         Ok(())
     }
@@ -155,8 +188,7 @@ impl HeapFile {
         HeapScan {
             pool,
             next_page: self.first,
-            buffer: Vec::new(),
-            pos: 0,
+            buffer: Vec::new().into_iter(),
             failed: false,
         }
     }
@@ -166,8 +198,7 @@ impl HeapFile {
 pub struct HeapScan<'p> {
     pool: &'p BufferPool,
     next_page: PageId,
-    buffer: Vec<(Rid, Vec<u8>)>,
-    pos: usize,
+    buffer: std::vec::IntoIter<(Rid, Vec<u8>)>,
     failed: bool,
 }
 
@@ -179,39 +210,36 @@ impl Iterator for HeapScan<'_> {
             return None;
         }
         loop {
-            if self.pos < self.buffer.len() {
-                let item = self.buffer[self.pos].clone();
-                self.pos += 1;
+            if let Some(item) = self.buffer.next() {
                 return Some(Ok(item));
             }
             if self.next_page == NO_PAGE {
                 return None;
             }
             let pid = self.next_page;
-            let mut page = match self.pool.fetch_write(pid) {
-                Ok(p) => p,
+            let sp = match self.pool.fetch_read(pid) {
+                Ok(p) => SlottedPage::view(p),
                 Err(e) => {
                     self.failed = true;
                     return Some(Err(e));
                 }
             };
-            let sp = SlottedPage::new(&mut page);
             self.buffer = sp
                 .iter()
                 .map(|(slot, t)| (Rid { page: pid, slot }, t.to_vec()))
-                .collect();
-            self.pos = 0;
+                .collect::<Vec<_>>()
+                .into_iter();
             self.next_page = sp.next();
         }
     }
 }
 
-/// Number of pages a heap file occupies (walks the chain).
-pub fn chain_length(pool: &BufferPool, first: PageId) -> Result<u64, StorageError> {
+/// Walk a chain from `first` under read latches: `(pages, last page)`.
+fn walk_chain(pool: &BufferPool, first: PageId) -> Result<(u64, PageId), StorageError> {
     let mut n = 0;
     let mut pid = first;
     let limit = pool.page_count() + 1;
-    while pid != NO_PAGE {
+    loop {
         n += 1;
         if n > limit {
             return Err(StorageError::CorruptPage {
@@ -219,10 +247,20 @@ pub fn chain_length(pool: &BufferPool, first: PageId) -> Result<u64, StorageErro
                 reason: "page chain cycle",
             });
         }
-        let mut page = pool.fetch_write(pid)?;
-        pid = SlottedPage::new(&mut page).next();
+        let next = SlottedPage::view(pool.fetch_read(pid)?).next();
+        if next == NO_PAGE {
+            return Ok((n, pid));
+        }
+        pid = next;
     }
-    Ok(n)
+}
+
+/// Number of pages a heap file occupies (walks the chain).
+pub fn chain_length(pool: &BufferPool, first: PageId) -> Result<u64, StorageError> {
+    if first == NO_PAGE {
+        return Ok(0);
+    }
+    Ok(walk_chain(pool, first)?.0)
 }
 
 #[cfg(test)]
@@ -333,6 +371,104 @@ mod tests {
         let heap = HeapFile::open(first);
         let all: Vec<Vec<u8>> = heap.scan(&pool).map(|r| r.unwrap().1).collect();
         assert_eq!(all, vec![b"persisted".to_vec()]);
+    }
+
+    #[test]
+    fn appends_go_to_the_tail_in_insert_order() {
+        let pool = pool();
+        let heap = HeapFile::create(&pool).unwrap();
+        // Alternate large and small rows: first-fit would tuck the small
+        // ones into earlier pages, a tail append never does.
+        let mut expect = Vec::new();
+        for i in 0..60u32 {
+            let len = if i % 2 == 0 { 3000 } else { 10 };
+            let t = vec![i as u8; len];
+            heap.insert(&pool, &t).unwrap();
+            expect.push(t);
+        }
+        let rows: Vec<(Rid, Vec<u8>)> = heap.scan(&pool).collect::<Result<_, _>>().unwrap();
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "RIDs ascend");
+        assert_eq!(rows.into_iter().map(|r| r.1).collect::<Vec<_>>(), expect);
+        // A reopened handle finds the tail once, then appends after it.
+        let reopened = HeapFile::open(heap.first_page());
+        let first = reopened.first_page();
+        let before = pool.stats();
+        reopened.insert(&pool, b"after reopen").unwrap();
+        let walk = pool.stats().delta_since(before);
+        let before = pool.stats();
+        for _ in 0..20 {
+            reopened.insert(&pool, b"more").unwrap();
+        }
+        let appends = pool.stats().delta_since(before);
+        let pages = chain_length(&pool, first).unwrap();
+        assert_eq!(walk.hits + walk.misses, pages + 1, "one walk + the tail");
+        assert_eq!(appends.hits + appends.misses, 20, "one fetch per append");
+        let last = reopened.scan(&pool).last().unwrap().unwrap().1;
+        assert_eq!(last, b"more");
+    }
+
+    #[test]
+    fn reads_never_dirty_a_page() {
+        let pool = pool();
+        let heap = HeapFile::create(&pool).unwrap();
+        let mut rids = Vec::new();
+        for i in 0..200u32 {
+            rids.push(heap.insert(&pool, &[i as u8; 500]).unwrap());
+        }
+        pool.flush_all().unwrap();
+        let before = pool.stats();
+        assert_eq!(heap.scan(&pool).count(), 200);
+        heap.for_each_row(&pool, |_, _| -> Result<(), StorageError> { Ok(()) })
+            .unwrap();
+        for rid in &rids {
+            heap.get(&pool, *rid).unwrap();
+        }
+        chain_length(&pool, heap.first_page()).unwrap();
+        pool.flush_all().unwrap();
+        assert_eq!(pool.stats().delta_since(before).writebacks, 0);
+    }
+
+    #[test]
+    fn insert_row_inlines_up_to_max_tuple_then_overflows() {
+        use crate::blob::BlobRef;
+        use crate::row::{decode_row, ColumnType, RowReader};
+        let pool = pool();
+        let heap = HeapFile::create(&pool).unwrap();
+        let schema = Schema::new(&[("k", ColumnType::Int), ("b", ColumnType::Blob)]);
+        // Row = 8-byte key + 1-byte tag + 4-byte length + blob.
+        let fits = MAX_TUPLE - 13;
+        for (len, inline) in [(0, true), (fits, true), (fits + 1, false), (40_000, false)] {
+            let blob: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let row = vec![Value::Int(len as i64), Value::InlineBlob(blob.clone())];
+            let bytes = heap
+                .get(&pool, heap.insert_row(&pool, &schema, &row).unwrap())
+                .unwrap();
+            if inline {
+                assert_eq!(bytes.len(), 13 + len, "len {len}");
+            }
+            let mut r = RowReader::new(&schema, &bytes);
+            assert_eq!(r.int().unwrap(), len as i64);
+            let got = r.blob().unwrap();
+            r.finish().unwrap();
+            assert_eq!(matches!(got, BlobRef::Inline(_)), inline, "len {len}");
+            assert_eq!(got.to_vec(&pool).unwrap(), blob, "len {len}");
+            // decode_row sees the same form and bytes.
+            let decoded = decode_row(&schema, &bytes).unwrap();
+            match got {
+                BlobRef::Inline(b) => assert_eq!(decoded[1], Value::InlineBlob(b.to_vec())),
+                BlobRef::Overflow(pid) => assert_eq!(decoded[1], Value::Blob(pid)),
+            }
+        }
+        // Rows too large even without their blobs are refused.
+        let wide = Schema::new(&[("t", ColumnType::Text), ("b", ColumnType::Blob)]);
+        let row = vec![
+            Value::Text("x".repeat(MAX_TUPLE)),
+            Value::InlineBlob(vec![1]),
+        ];
+        assert!(matches!(
+            heap.insert_row(&pool, &wide, &row),
+            Err(StorageError::TupleTooLarge { .. })
+        ));
     }
 
     #[test]

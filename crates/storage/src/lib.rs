@@ -10,12 +10,14 @@
 //!   tuples and multi-gigabyte FullSFA blobs is an I/O-volume effect, so
 //!   the pool counts every disk read/write);
 //! * [`page`] — slotted-page layout for variable-length tuples;
-//! * [`heap`] — heap files (linked page chains) with RID addressing;
+//! * [`heap`] — heap files (linked page chains, appended at the tail)
+//!   with RID addressing;
 //! * [`btree`] — a page-based B+-tree over byte-string keys, used for the
 //!   primary keys of Table 5 and the inverted-index table of §5.3 ("we
 //!   implement the index as a relational table with a B+-tree on top");
-//! * [`blob`] — multi-page large objects, the Postgres `OID` analogue that
-//!   stores `SFABlob` / `GraphBlob`;
+//! * [`blob`] — blob values, the Postgres `OID` analogue behind
+//!   `SFABlob` / `GraphBlob`: inline in the row when it fits in a page,
+//!   an overflow page chain otherwise;
 //! * [`row`] — typed values and row (de)serialization;
 //! * [`catalog`] — named tables/indexes bound to their root pages,
 //!   persisted in the database file;
@@ -38,7 +40,7 @@ pub mod rcu;
 pub mod row;
 pub mod wal;
 
-pub use blob::BlobStore;
+pub use blob::{BlobRef, BlobStore};
 pub use btree::BTree;
 pub use catalog::{Catalog, Database, TableDef};
 pub use disk::{Disk, FileDisk, MemDisk, PAGE_SIZE};

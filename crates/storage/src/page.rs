@@ -14,6 +14,7 @@
 
 use crate::disk::PAGE_SIZE;
 use crate::error::StorageError;
+use std::ops::{Deref, DerefMut};
 
 const HEADER: usize = 14;
 const SLOT_BYTES: usize = 4;
@@ -22,12 +23,16 @@ const TOMBSTONE: u16 = u16::MAX;
 /// Largest tuple a single page can hold.
 pub const MAX_TUPLE: usize = PAGE_SIZE - HEADER - SLOT_BYTES;
 
-/// A slotted-page view over a page buffer.
-pub struct SlottedPage<'a> {
-    buf: &'a mut [u8; PAGE_SIZE],
+/// A slotted-page view over a page buffer. `B` is anything that derefs
+/// to the page bytes: a `&mut` buffer or [`crate::pager::PageWrite`]
+/// guard for inserts and deletes, a `&` buffer or
+/// [`crate::pager::PageRead`] guard for read-only access
+/// ([`SlottedPage::view`]), so readers never need a write latch.
+pub struct SlottedPage<B> {
+    buf: B,
 }
 
-impl<'a> SlottedPage<'a> {
+impl<'a> SlottedPage<&'a mut [u8; PAGE_SIZE]> {
     /// Interpret `buf` as a slotted page (no validation; use [`Self::init`]
     /// for fresh pages).
     pub fn new(buf: &'a mut [u8; PAGE_SIZE]) -> Self {
@@ -44,52 +49,38 @@ impl<'a> SlottedPage<'a> {
         p.set_free_end(PAGE_SIZE as u16);
         p
     }
+}
+
+impl<B: Deref<Target = [u8; PAGE_SIZE]>> SlottedPage<B> {
+    /// Read-only view over a page (typically a read-latched guard).
+    pub fn view(buf: B) -> Self {
+        SlottedPage { buf }
+    }
+
+    fn u16_at(&self, off: usize) -> u16 {
+        u16::from_le_bytes(self.buf[off..off + 2].try_into().expect("len"))
+    }
 
     /// The `next page` pointer.
     pub fn next(&self) -> u64 {
         u64::from_le_bytes(self.buf[0..8].try_into().expect("len"))
     }
 
-    /// Set the `next page` pointer.
-    pub fn set_next(&mut self, next: u64) {
-        self.buf[0..8].copy_from_slice(&next.to_le_bytes());
-    }
-
     fn nslots(&self) -> u16 {
-        u16::from_le_bytes(self.buf[8..10].try_into().expect("len"))
-    }
-
-    fn set_nslots(&mut self, n: u16) {
-        self.buf[8..10].copy_from_slice(&n.to_le_bytes());
+        self.u16_at(8)
     }
 
     fn free_start(&self) -> u16 {
-        u16::from_le_bytes(self.buf[10..12].try_into().expect("len"))
-    }
-
-    fn set_free_start(&mut self, v: u16) {
-        self.buf[10..12].copy_from_slice(&v.to_le_bytes());
+        self.u16_at(10)
     }
 
     fn free_end(&self) -> u16 {
-        u16::from_le_bytes(self.buf[12..14].try_into().expect("len"))
-    }
-
-    fn set_free_end(&mut self, v: u16) {
-        self.buf[12..14].copy_from_slice(&v.to_le_bytes());
+        self.u16_at(12)
     }
 
     fn slot(&self, i: u16) -> (u16, u16) {
         let off = HEADER + i as usize * SLOT_BYTES;
-        let o = u16::from_le_bytes(self.buf[off..off + 2].try_into().expect("len"));
-        let l = u16::from_le_bytes(self.buf[off + 2..off + 4].try_into().expect("len"));
-        (o, l)
-    }
-
-    fn set_slot(&mut self, i: u16, offset: u16, len: u16) {
-        let off = HEADER + i as usize * SLOT_BYTES;
-        self.buf[off..off + 2].copy_from_slice(&offset.to_le_bytes());
-        self.buf[off + 2..off + 4].copy_from_slice(&len.to_le_bytes());
+        (self.u16_at(off), self.u16_at(off + 2))
     }
 
     /// Number of slots ever created (including tombstones).
@@ -100,25 +91,6 @@ impl<'a> SlottedPage<'a> {
     /// Contiguous free bytes available for one more insert (tuple + slot).
     pub fn free_space(&self) -> usize {
         (self.free_end() as usize).saturating_sub(self.free_start() as usize + SLOT_BYTES)
-    }
-
-    /// Insert a tuple; returns the slot id, or `None` if it does not fit.
-    pub fn insert(&mut self, tuple: &[u8]) -> Option<u16> {
-        if tuple.len() > MAX_TUPLE || tuple.len() >= TOMBSTONE as usize {
-            return None;
-        }
-        if self.free_space() < tuple.len() {
-            return None;
-        }
-        let slot = self.nslots();
-        let end = self.free_end() as usize;
-        let start = end - tuple.len();
-        self.buf[start..end].copy_from_slice(tuple);
-        self.set_slot(slot, start as u16, tuple.len() as u16);
-        self.set_nslots(slot + 1);
-        self.set_free_start((HEADER + (slot as usize + 1) * SLOT_BYTES) as u16);
-        self.set_free_end(start as u16);
-        Some(slot)
     }
 
     /// Read the tuple in `slot`.
@@ -140,6 +112,66 @@ impl<'a> SlottedPage<'a> {
         Ok(&self.buf[o..o + l])
     }
 
+    /// Iterate live `(slot, tuple)` pairs.
+    pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
+        (0..self.nslots()).filter_map(move |i| {
+            let (o, l) = self.slot(i);
+            if o == TOMBSTONE {
+                None
+            } else {
+                Some((i, &self.buf[o as usize..(o + l) as usize]))
+            }
+        })
+    }
+}
+
+impl<B: DerefMut<Target = [u8; PAGE_SIZE]>> SlottedPage<B> {
+    fn set_u16_at(&mut self, off: usize, v: u16) {
+        self.buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Set the `next page` pointer.
+    pub fn set_next(&mut self, next: u64) {
+        self.buf[0..8].copy_from_slice(&next.to_le_bytes());
+    }
+
+    fn set_nslots(&mut self, n: u16) {
+        self.set_u16_at(8, n);
+    }
+
+    fn set_free_start(&mut self, v: u16) {
+        self.set_u16_at(10, v);
+    }
+
+    fn set_free_end(&mut self, v: u16) {
+        self.set_u16_at(12, v);
+    }
+
+    fn set_slot(&mut self, i: u16, offset: u16, len: u16) {
+        let off = HEADER + i as usize * SLOT_BYTES;
+        self.set_u16_at(off, offset);
+        self.set_u16_at(off + 2, len);
+    }
+
+    /// Insert a tuple; returns the slot id, or `None` if it does not fit.
+    pub fn insert(&mut self, tuple: &[u8]) -> Option<u16> {
+        if tuple.len() > MAX_TUPLE || tuple.len() >= TOMBSTONE as usize {
+            return None;
+        }
+        if self.free_space() < tuple.len() {
+            return None;
+        }
+        let slot = self.nslots();
+        let end = self.free_end() as usize;
+        let start = end - tuple.len();
+        self.buf[start..end].copy_from_slice(tuple);
+        self.set_slot(slot, start as u16, tuple.len() as u16);
+        self.set_nslots(slot + 1);
+        self.set_free_start((HEADER + (slot as usize + 1) * SLOT_BYTES) as u16);
+        self.set_free_end(start as u16);
+        Some(slot)
+    }
+
     /// Tombstone a slot. Space is not reclaimed.
     pub fn delete(&mut self, slot: u16) -> Result<(), StorageError> {
         if slot >= self.nslots() {
@@ -151,18 +183,6 @@ impl<'a> SlottedPage<'a> {
         }
         self.set_slot(slot, TOMBSTONE, 0);
         Ok(())
-    }
-
-    /// Iterate live `(slot, tuple)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
-        (0..self.nslots()).filter_map(move |i| {
-            let (o, l) = self.slot(i);
-            if o == TOMBSTONE {
-                None
-            } else {
-                Some((i, &self.buf[o as usize..(o + l) as usize]))
-            }
-        })
     }
 }
 
@@ -244,6 +264,22 @@ mod tests {
         let mut buf = fresh();
         let p = SlottedPage::init(&mut buf);
         assert!(matches!(p.get(0), Err(StorageError::TupleNotFound { .. })));
+    }
+
+    #[test]
+    fn read_only_view_sees_what_was_written() {
+        let mut buf = fresh();
+        let mut p = SlottedPage::init(&mut buf);
+        p.insert(b"one").unwrap();
+        let dead = p.insert(b"two").unwrap();
+        p.delete(dead).unwrap();
+        p.set_next(7);
+        let view = SlottedPage::view(&*buf);
+        assert_eq!(view.next(), 7);
+        assert_eq!(view.slot_count(), 2);
+        assert_eq!(view.get(0).unwrap(), b"one");
+        assert!(view.get(dead).is_err());
+        assert_eq!(view.iter().collect::<Vec<_>>(), vec![(0, &b"one"[..])]);
     }
 
     #[test]

@@ -1,12 +1,20 @@
 //! Typed values and row (de)serialization against a schema.
 //!
 //! Covers the column types of the paper's Table 5: `INTEGER`, `FLOAT8`,
-//! `VARCHAR`/`TEXT`, and `OID` (blob reference). Rows are encoded
-//! schema-directed (no per-value tags): fixed-width for `Int`/`Float`/
-//! `Blob`, length-prefixed for `Text`.
+//! `VARCHAR`/`TEXT`, and `OID` (blob). Rows are encoded schema-directed:
+//! fixed-width for `Int`/`Float`, length-prefixed for `Text`. A `Blob`
+//! value carries a one-byte tag: inline, followed by a `u32` length and
+//! the bytes themselves, or overflow, followed by the `u64` first page of
+//! an overflow chain (see [`crate::blob`] for when each form is used).
 
+use crate::blob::BlobRef;
 use crate::error::StorageError;
 use crate::PageId;
+
+/// Blob tag: the value is the first page of an overflow chain.
+const BLOB_OVERFLOW: u8 = 1;
+/// Blob tag: the value's bytes are stored inline in the row.
+const BLOB_INLINE: u8 = 2;
 
 /// Column type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +59,10 @@ pub enum Value {
     Float(f64),
     /// Text.
     Text(String),
-    /// Blob id (first page of the chain).
+    /// Blob stored in an overflow chain: the chain's first page.
     Blob(PageId),
+    /// Blob bytes stored inline in the row.
+    InlineBlob(Vec<u8>),
 }
 
 impl Value {
@@ -83,7 +93,7 @@ impl Value {
         }
     }
 
-    /// The blob id inside, if this is a `Blob`.
+    /// The overflow chain's first page, if this is a `Blob`.
     pub fn as_blob(&self) -> Option<PageId> {
         if let Value::Blob(v) = self {
             Some(*v)
@@ -106,7 +116,17 @@ pub fn encode_row(schema: &Schema, row: &Row) -> Result<Vec<u8>, StorageError> {
         match (ty, val) {
             (ColumnType::Int, Value::Int(v)) => out.extend_from_slice(&v.to_le_bytes()),
             (ColumnType::Float, Value::Float(v)) => out.extend_from_slice(&v.to_le_bytes()),
-            (ColumnType::Blob, Value::Blob(v)) => out.extend_from_slice(&v.to_le_bytes()),
+            (ColumnType::Blob, Value::Blob(v)) => {
+                out.push(BLOB_OVERFLOW);
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            (ColumnType::Blob, Value::InlineBlob(b)) => {
+                let len = u32::try_from(b.len())
+                    .map_err(|_| StorageError::SchemaMismatch("blob longer than u32::MAX"))?;
+                out.push(BLOB_INLINE);
+                out.extend_from_slice(&len.to_le_bytes());
+                out.extend_from_slice(b);
+            }
             (ColumnType::Text, Value::Text(s)) => {
                 out.extend_from_slice(&(s.len() as u32).to_le_bytes());
                 out.extend_from_slice(s.as_bytes());
@@ -123,41 +143,20 @@ pub fn encode_row(schema: &Schema, row: &Row) -> Result<Vec<u8>, StorageError> {
 
 /// Decode a row against its schema.
 pub fn decode_row(schema: &Schema, bytes: &[u8]) -> Result<Row, StorageError> {
-    let mut pos = 0usize;
+    let mut r = RowReader::new(schema, bytes);
     let mut row = Vec::with_capacity(schema.cols.len());
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], StorageError> {
-        if bytes.len() - *pos < n {
-            return Err(StorageError::SchemaMismatch("row too short"));
-        }
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
     for (_, ty) in &schema.cols {
-        match ty {
-            ColumnType::Int => row.push(Value::Int(i64::from_le_bytes(
-                take(&mut pos, 8)?.try_into().expect("len"),
-            ))),
-            ColumnType::Float => row.push(Value::Float(f64::from_le_bytes(
-                take(&mut pos, 8)?.try_into().expect("len"),
-            ))),
-            ColumnType::Blob => row.push(Value::Blob(u64::from_le_bytes(
-                take(&mut pos, 8)?.try_into().expect("len"),
-            ))),
-            ColumnType::Text => {
-                let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("len")) as usize;
-                let s = take(&mut pos, len)?;
-                row.push(Value::Text(
-                    std::str::from_utf8(s)
-                        .map_err(|_| StorageError::SchemaMismatch("text is not UTF-8"))?
-                        .to_string(),
-                ));
-            }
-        }
+        row.push(match ty {
+            ColumnType::Int => Value::Int(r.int()?),
+            ColumnType::Float => Value::Float(r.float()?),
+            ColumnType::Text => Value::Text(r.text()?.to_string()),
+            ColumnType::Blob => match r.blob()? {
+                BlobRef::Inline(b) => Value::InlineBlob(b.to_vec()),
+                BlobRef::Overflow(pid) => Value::Blob(pid),
+            },
+        });
     }
-    if pos != bytes.len() {
-        return Err(StorageError::SchemaMismatch("trailing bytes after row"));
-    }
+    r.finish()?;
     Ok(row)
 }
 
@@ -223,10 +222,20 @@ impl<'a> RowReader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len")))
     }
 
-    /// Read the next column as a `Blob` reference.
-    pub fn blob(&mut self) -> Result<PageId, StorageError> {
+    /// Read the next column as a `Blob`: the inline bytes, borrowed from
+    /// the row, or the first page of its overflow chain.
+    pub fn blob(&mut self) -> Result<BlobRef<'a>, StorageError> {
         self.expect(ColumnType::Blob)?;
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len")))
+        match self.take(1)?[0] {
+            BLOB_INLINE => {
+                let len = u32::from_le_bytes(self.take(4)?.try_into().expect("len")) as usize;
+                Ok(BlobRef::Inline(self.take(len)?))
+            }
+            BLOB_OVERFLOW => Ok(BlobRef::Overflow(u64::from_le_bytes(
+                self.take(8)?.try_into().expect("len"),
+            ))),
+            _ => Err(StorageError::SchemaMismatch("unknown blob tag")),
+        }
     }
 
     /// Read the next column as `Text`, borrowing from the row bytes.
@@ -353,7 +362,7 @@ mod tests {
         assert_eq!(r.int().unwrap(), -42);
         assert_eq!(r.float().unwrap(), 2.75);
         assert_eq!(r.text().unwrap(), "U.S.C. 2345");
-        assert_eq!(r.blob().unwrap(), 9001);
+        assert_eq!(r.blob().unwrap(), BlobRef::Overflow(9001));
         r.finish().unwrap();
     }
 
@@ -382,6 +391,56 @@ mod tests {
         let mut bad = bytes.clone();
         bad[4] = 0xFF;
         assert!(RowReader::new(&schema, &bad).text().is_err());
+    }
+
+    #[test]
+    fn inline_and_overflow_blobs_agree_across_readers() {
+        let schema = Schema::new(&[
+            ("k", ColumnType::Int),
+            ("b", ColumnType::Blob),
+            ("t", ColumnType::Text),
+        ]);
+        for blob in [Value::InlineBlob(b"SFA1 bytes".to_vec()), Value::Blob(77)] {
+            let row: Row = vec![Value::Int(5), blob, Value::Text("after".into())];
+            let bytes = encode_row(&schema, &row).unwrap();
+            let decoded = decode_row(&schema, &bytes).unwrap();
+            assert_eq!(decoded, row);
+            let mut r = RowReader::new(&schema, &bytes);
+            assert_eq!(r.int().unwrap(), 5);
+            let got = r.blob().unwrap();
+            assert_eq!(r.text().unwrap(), "after");
+            r.finish().unwrap();
+            match got {
+                BlobRef::Inline(b) => assert_eq!(decoded[1], Value::InlineBlob(b.to_vec())),
+                BlobRef::Overflow(pid) => assert_eq!(decoded[1], Value::Blob(pid)),
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_blob_tag_is_a_schema_mismatch() {
+        let schema = Schema::new(&[("k", ColumnType::Int), ("b", ColumnType::Blob)]);
+        let mut bytes = encode_row(&schema, &vec![Value::Int(1), Value::Blob(9)]).unwrap();
+        for tag in [0u8, 3, 0xFF] {
+            bytes[8] = tag;
+            assert!(matches!(
+                decode_row(&schema, &bytes),
+                Err(StorageError::SchemaMismatch("unknown blob tag"))
+            ));
+            let mut r = RowReader::new(&schema, &bytes);
+            r.int().unwrap();
+            assert!(matches!(
+                r.blob(),
+                Err(StorageError::SchemaMismatch("unknown blob tag"))
+            ));
+        }
+        // A truncated inline blob is caught too.
+        let inline = encode_row(
+            &schema,
+            &vec![Value::Int(1), Value::InlineBlob(vec![7; 10])],
+        )
+        .unwrap();
+        assert!(decode_row(&schema, &inline[..inline.len() - 1]).is_err());
     }
 
     #[test]

@@ -8,7 +8,9 @@ use staccato::query::store::LoadOptions;
 use staccato::query::{Query, QueryError, RecoverOptions};
 use staccato::server::{HttpClient, Server, ServerConfig};
 use staccato::sfa::codec;
-use staccato::storage::{BlobStore, ColumnType, Database, Schema, StorageError, Value};
+use staccato::storage::{
+    BlobRef, BlobStore, ColumnType, Database, RowReader, Schema, StorageError, Value,
+};
 use staccato::{Approach, DocumentInput, IngestBatch, QueryRequest, Staccato, SyncPolicy};
 use std::io::Write;
 use std::net::TcpStream;
@@ -28,25 +30,9 @@ fn tiny_session() -> Staccato {
     Staccato::load(db, &dataset, &opts).expect("load")
 }
 
-#[test]
-fn corrupt_sfa_blob_surfaces_typed_error() {
-    let session = tiny_session();
-    let store = session.store();
-    // Find the first FullSFAData row's blob and stomp its magic bytes.
-    let (schema, heap) = store.table("FullSFAData").expect("table");
-    let (_, bytes) = heap
-        .scan(store.db().pool())
-        .next()
-        .expect("row")
-        .expect("scan");
-    let row = staccato::storage::row::decode_row(&schema, &bytes).expect("row");
-    let blob_page = row[1].as_blob().expect("blob id");
-    {
-        let mut page = store.db().pool().fetch_write(blob_page).expect("page");
-        // Blob page layout: [next u64][len u32][payload...]; payload starts
-        // with the SFA magic.
-        page[12..16].copy_from_slice(b"XXXX");
-    }
+/// The four representations still answer, except FullSFA, which must
+/// fail with a typed SFA error on the serial and the parallel scan path.
+fn assert_fullsfa_fails_typed(session: &Staccato) {
     let request = QueryRequest::keyword("data").num_ans(10);
     let err = session
         .execute(&request.clone().approach(Approach::FullSfa))
@@ -64,6 +50,66 @@ fn corrupt_sfa_blob_surfaces_typed_error() {
     session
         .execute(&request.approach(Approach::Staccato))
         .expect("STACCATO still works");
+}
+
+#[test]
+fn corrupt_sfa_blob_surfaces_typed_error() {
+    let session = tiny_session();
+    let store = session.store();
+    let pool = store.db().pool();
+    // Find the first FullSFAData row; its row-sized blob is stored inline,
+    // as the row's last column. Stomp the SFA magic it starts with, in
+    // place on the heap page.
+    let (schema, heap) = store.table("FullSFAData").expect("table");
+    let (rid, row) = heap.scan(pool).next().expect("row").expect("scan");
+    let mut reader = RowReader::new(&schema, &row);
+    reader.int().expect("DataKey");
+    let BlobRef::Inline(blob) = reader.blob().expect("blob") else {
+        panic!("a row-sized blob must be stored inline");
+    };
+    let blob_at = row.len() - blob.len();
+    {
+        let mut page = pool.fetch_write(rid.page).expect("page");
+        let row_at = page
+            .windows(row.len())
+            .position(|w| w == &row[..])
+            .expect("row bytes on its page");
+        page[row_at + blob_at..row_at + blob_at + 4].copy_from_slice(b"XXXX");
+    }
+    assert_fullsfa_fails_typed(&session);
+}
+
+#[test]
+fn corrupt_overflow_sfa_blob_surfaces_typed_error() {
+    let session = tiny_session();
+    // A line long enough that its FullSFA row cannot fit in one page, so
+    // the blob goes to an overflow chain.
+    let long = "the quick brown fox jumps over the lazy dog ".repeat(12);
+    session
+        .ingest(IngestBatch::new().doc(DocumentInput::new("long_line", long)))
+        .expect("ingest");
+    let store = session.store();
+    let pool = store.db().pool();
+    let (schema, heap) = store.table("FullSFAData").expect("table");
+    let chain = heap
+        .scan(pool)
+        .find_map(|item| {
+            let (_, row) = item.expect("scan");
+            let mut reader = RowReader::new(&schema, &row);
+            reader.int().expect("DataKey");
+            match reader.blob().expect("blob") {
+                BlobRef::Overflow(first_page) => Some(first_page),
+                BlobRef::Inline(_) => None,
+            }
+        })
+        .expect("the long line's blob is in an overflow chain");
+    {
+        let mut page = pool.fetch_write(chain).expect("page");
+        // Chain page layout: [next u64][len u32][payload...]; the payload
+        // starts with the SFA magic.
+        page[12..16].copy_from_slice(b"XXXX");
+    }
+    assert_fullsfa_fails_typed(&session);
 }
 
 #[test]
