@@ -56,9 +56,8 @@ pub struct DenseDfa {
 }
 
 /// Position of the first `needle` byte in `hay`, word-at-a-time (the
-/// classic SWAR zero-byte test, eight bytes per step). Shared by
-/// [`DenseDfa::run_from`]'s self-loop skip and the scan kernel's
-/// byte-presence prescreen.
+/// classic SWAR zero-byte test, eight bytes per step). Drives
+/// [`DenseDfa::run_from`]'s self-loop skip.
 #[inline]
 pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
     const ONES: u64 = 0x0101_0101_0101_0101;
@@ -276,26 +275,6 @@ impl DenseDfa {
             i += 1;
         }
     }
-
-    /// Compose `label` into a full `state → state` transition vector:
-    /// `out[s]` = the state reached from `s` after consuming all of
-    /// `label`. `out` is overwritten and resized to `q`.
-    ///
-    /// Walking column-by-column over all states at once is equivalent to
-    /// `q` independent `run_from` calls but touches each class column
-    /// sequentially, and costs `O(len · q)` *once* per distinct label
-    /// instead of per (row, state) pair in the evaluation DP.
-    pub fn compose_label(&self, label: &[u8], out: &mut Vec<u32>) {
-        let q = self.state_count();
-        out.clear();
-        out.extend(0..q as u32);
-        for &b in label {
-            let c = self.classes[b as usize] as usize;
-            for s in out.iter_mut() {
-                *s = self.table[*s as usize * self.num_classes + c];
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -354,19 +333,6 @@ mod tests {
                 "{input:?}"
             );
             assert_eq!(d.matches(input.as_bytes()), dfa.accepts(input));
-        }
-    }
-
-    #[test]
-    fn compose_label_equals_per_state_runs() {
-        let (dfa, d) = dense(r"Public Law (8|9)\d", true);
-        let mut out = Vec::new();
-        for label in ["Pub", "lic", " Law 89", "zz", "", "\u{00ff}x"] {
-            d.compose_label(label.as_bytes(), &mut out);
-            assert_eq!(out.len(), dfa.state_count());
-            for s in 0..dfa.state_count() as u32 {
-                assert_eq!(out[s as usize], dfa.run_from(s, label), "{label:?} s={s}");
-            }
         }
     }
 

@@ -1,8 +1,7 @@
 //! Scan-kernel microbench: per-line evaluation cost of the naive
 //! reference path (owned-row cursors + `eval_strings` / decode +
-//! `eval_sfa`) against the compiled [`ScanKernel`] (dense DFA, interned
-//! label transitions, arena decode, anchor prescreen), per
-//! representation and per query.
+//! `eval_sfa`) against the compiled [`ScanKernel`] (dense DFA, arena
+//! decode, anchor prescreen), per representation and per query.
 //!
 //! ```text
 //! scan [--lines N] [--seed S] [--reps R] [--out PATH]

@@ -311,8 +311,8 @@ impl OwnedSink {
 /// Evaluation runs through the query's compiled [`ScanKernel`]
 /// (see [`crate::kernel`]): rows stream as raw bytes and are decoded
 /// *borrowed* inside each worker (no per-line `String`/`Sfa`
-/// materialization), blobs run through the arena DP with interned label
-/// transitions, and the anchor prescreen skips lines that provably
+/// materialization), blobs run through the arena DP over the dense DFA,
+/// and the anchor prescreen skips lines that provably
 /// cannot match — counted in [`ExecStats::prescreen_skipped`]. Skipped
 /// lines still count as evaluated: the prescreen changes *how* a line's
 /// probability is computed, never whether it is.
@@ -426,7 +426,7 @@ pub(crate) fn exec_filescan(
 /// morsel-parallel. `rows_of` is the physical row count a payload
 /// represents (k-MAP reads k rows per line). `make_eval` builds one
 /// evaluation closure per worker — the closure owns that worker's
-/// mutable scan scratch (decode arena, label memo, DP vector pool), so
+/// mutable scan scratch (decode arena, DP vector pool), so
 /// workers never contend on shared state.
 fn scan_into<T, E>(
     cursor: impl Iterator<Item = Result<(i64, T), QueryError>>,

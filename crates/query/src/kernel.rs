@@ -11,18 +11,22 @@
 //! * **Dense DFA** — the query automaton is compiled once into a
 //!   byte-class-compressed [`DenseDfa`] table (see
 //!   `staccato_automata::dense`).
-//! * **Compiled label transitions** — distinct emission labels are
-//!   interned per worker; each label's full `state → state` transition
-//!   vector is composed once ([`DenseDfa::compose_label`]) and memoized,
-//!   turning the DP's `dfa.run_from(s, label)` into a table gather.
+//! * **Compiled label transitions** — the DP's `dfa.run_from(s, label)`
+//!   is computed for all live states of a node at once: a one-byte label
+//!   (every FullSFA emission) steps each state through the byte-class
+//!   table ([`DenseDfa::next`]), a longer one is walked in place by the
+//!   convergence-aware set walks ([`DenseDfa::advance_states`],
+//!   [`DenseDfa::advance_mask`]). Nothing is memoized across rows.
 //! * **Arena batch decode** — blobs decode into a reusable
-//!   [`DecodeArena`] (borrowed labels, CSR adjacency, recycled buffers);
-//!   the DP's state vectors are pooled and reused across rows.
+//!   [`DecodeArena`] (borrowed labels, CSR adjacency, recycled buffers,
+//!   and a map of the label bytes present); the DP's state vectors are
+//!   pooled and reused across rows.
 //! * **Two-tier prescreen** — rows that provably cannot match are skipped
 //!   before the full DP: tier 1 is a byte-presence test for the pattern's
-//!   required literal (substring containment for MAP/k-MAP strings),
-//!   tier 2 a bitset reachability DP over `(node, DFA-state set)` using
-//!   the same interned transition vectors. Both tiers only ever skip rows
+//!   required literal (four word-ANDs against the decode's
+//!   [`DecodeArena::label_bytes`]; substring containment for MAP/k-MAP
+//!   strings), tier 2 a bitset reachability DP over `(node, DFA-state
+//!   set)` using the same label transitions. Both tiers only ever skip rows
 //!   whose exact probability is `+0.0`, so results stay **bit-identical**
 //!   to the naive path (see the soundness notes on [`ScanKernel::eval_blob`]).
 //!
@@ -36,57 +40,6 @@
 
 use staccato_automata::{DenseDfa, Dfa};
 use staccato_sfa::{codec, DecodeArena, SfaError};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotone kernel ids, used to bind a [`ScanScratch`]'s label memo to
-/// the kernel that composed it (ids start at 1 so a fresh scratch never
-/// appears bound).
-static KERNEL_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// Multiplicative byte hasher for the label interner. Interned labels
-/// are at most [`MEMO_LABEL_MAX`] bytes, where SipHash's per-call setup
-/// costs more than the hash itself; the map is per-worker scratch keyed
-/// by trusted scan data, so DoS resistance buys nothing here.
-#[derive(Default)]
-struct LabelHasher(u64);
-
-impl std::hash::Hasher for LabelHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-}
-
-type LabelMap = HashMap<Box<[u8]>, u32, std::hash::BuildHasherDefault<LabelHasher>>;
-
-/// Distinct interned labels kept per worker before the memo is reset.
-/// Bounds scratch memory on corpora with pathological label diversity;
-/// typical queries intern a few hundred labels and never hit it.
-const LABEL_MEMO_CAP: usize = 8192;
-
-/// Sentinel transition id for emissions with `prob <= 0.0`, which the DP
-/// skips without ever consulting a transition vector.
-const SKIPPED: u32 = u32::MAX;
-
-/// Sentinel transition id for emissions whose label is evaluated by
-/// walking the dense table directly instead of through the memo.
-const RAW: u32 = u32::MAX - 1;
-
-/// Longest label (in bytes) worth interning. Short labels — FullSFA's
-/// per-character emissions, punctuation chunks — repeat across the whole
-/// corpus, so composing their transition vector once is a corpus-wide
-/// saving. Long labels (Staccato's line-specific chunk text) almost
-/// never repeat: hashing and composing them would cost more than the
-/// one DP walk they feed, so they stay un-memoized and are walked in
-/// place by the convergence-aware set walks ([`DenseDfa::advance_mask`],
-/// [`DenseDfa::advance_states`]) — identical transitions, no allocation.
-const MEMO_LABEL_MAX: usize = 4;
 
 /// Result of evaluating one line through the kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,14 +58,11 @@ pub struct EvalOutcome {
 /// mutable state lives in [`ScanScratch`].
 #[derive(Debug)]
 pub struct ScanKernel {
-    id: u64,
     dense: DenseDfa,
     /// Required literal: every accepted line contains it (case-sensitive).
     literal: Option<String>,
-    /// Distinct bytes of the literal, for the tier-1 byte-presence test.
-    literal_bytes: Vec<u8>,
-    /// The same distinct bytes as a 256-bit map, so the tier-1 scan can
-    /// count them off and stop as soon as all are found.
+    /// The literal's distinct bytes as a 256-bit map, for the tier-1
+    /// byte-presence test against [`DecodeArena::label_bytes`].
     literal_bitmap: [u64; 4],
     /// Bit per accepting DFA state; `None` when `q > 64` (tier 2 disabled).
     accept_mask: Option<u64>,
@@ -139,14 +89,8 @@ impl ScanKernel {
                 .filter(|&s| dense.is_accept(s))
                 .fold(0u64, |m, s| m | 1u64 << s)
         });
-        let mut literal_bytes: Vec<u8> = literal
-            .as_deref()
-            .map(|l| l.as_bytes().to_vec())
-            .unwrap_or_default();
-        literal_bytes.sort_unstable();
-        literal_bytes.dedup();
         let mut literal_bitmap = [0u64; 4];
-        for &b in &literal_bytes {
+        for &b in literal.as_deref().unwrap_or_default().as_bytes() {
             literal_bitmap[(b >> 6) as usize] |= 1u64 << (b & 63);
         }
         let string_zero: f64 = std::iter::empty::<f64>().sum();
@@ -155,10 +99,8 @@ impl ScanKernel {
             .map(|_| 0.0f64)
             .sum();
         ScanKernel {
-            id: KERNEL_IDS.fetch_add(1, Ordering::Relaxed),
             dense,
             literal,
-            literal_bytes,
             literal_bitmap,
             accept_mask,
             string_zero,
@@ -257,90 +199,24 @@ impl ScanKernel {
         blob: &[u8],
     ) -> Result<EvalOutcome, SfaError> {
         let ScanScratch {
-            bound,
             arena,
-            interner,
-            trans,
-            compose_tmp,
-            em_trans,
             bits,
             pairs,
             dests,
             vectors,
             free,
         } = scratch;
-        // A scratch carries transition vectors composed against one
-        // kernel's DFA; rebind (and drop the memo) if it last served a
-        // different kernel.
-        if *bound != self.id {
-            interner.clear();
-            trans.clear();
-            *bound = self.id;
-        }
         codec::decode_into_arena(blob, arena)?;
 
         // Tier 1: every distinct literal byte must occur in some label.
-        // Counting the literal bytes off as they first appear lets rows
-        // that do contain them all (the common case for short literals)
-        // exit after a few labels instead of scanning every one.
-        if !self.literal_bytes.is_empty() {
-            let mut present = [0u64; 4];
-            let mut missing = self.literal_bytes.len();
-            'tier1: for em in arena.emissions() {
-                for &b in &blob[em.label_range()] {
-                    let (w, bit) = ((b >> 6) as usize, 1u64 << (b & 63));
-                    if present[w] & bit == 0 {
-                        present[w] |= bit;
-                        if self.literal_bitmap[w] & bit != 0 {
-                            missing -= 1;
-                            if missing == 0 {
-                                break 'tier1;
-                            }
-                        }
-                    }
-                }
-            }
-            if missing > 0 {
-                return Ok(EvalOutcome {
-                    probability: self.blob_zero,
-                    prescreened: true,
-                });
-            }
-        }
-
-        // Resolve each positive-probability emission to its interned
-        // transition vector; compose and memoize short labels on first
-        // sight. The memo persists across rows (same worker), so a
-        // repeated label costs one composition corpus-wide, and is reset
-        // wholesale at the cap — never mid-row, so resolved ids stay
-        // valid below. Long labels bypass the memo entirely (see
-        // `MEMO_LABEL_MAX`) and are walked in place.
-        if trans.len() >= LABEL_MEMO_CAP {
-            interner.clear();
-            trans.clear();
-        }
-        em_trans.clear();
-        for em in arena.emissions() {
-            if em.prob <= 0.0 {
-                em_trans.push(SKIPPED);
-                continue;
-            }
-            let label = &blob[em.label_range()];
-            if label.len() > MEMO_LABEL_MAX {
-                em_trans.push(RAW);
-                continue;
-            }
-            let id = match interner.get(label) {
-                Some(&id) => id,
-                None => {
-                    self.dense.compose_label(label, compose_tmp);
-                    let id = trans.len() as u32;
-                    trans.push(compose_tmp.as_slice().into());
-                    interner.insert(label.into(), id);
-                    id
-                }
-            };
-            em_trans.push(id);
+        // The decode already recorded the label bytes; an empty literal
+        // map never skips.
+        let present = arena.label_bytes();
+        if (0..4).any(|w| self.literal_bitmap[w] & !present[w] != 0) {
+            return Ok(EvalOutcome {
+                probability: self.blob_zero,
+                prescreened: true,
+            });
         }
 
         // Tier 2: bitset reachability over (node, DFA-state set). The
@@ -363,22 +239,20 @@ impl ScanKernel {
                 for &eid in arena.out_edges(v) {
                     let e = arena.edges()[eid as usize];
                     let mut out_bits = 0u64;
-                    for ei in e.em_start..e.em_end {
-                        let t = em_trans[ei as usize];
-                        if t == SKIPPED {
+                    for em in &arena.emissions()[e.em_start as usize..e.em_end as usize] {
+                        if em.prob <= 0.0 {
                             continue;
                         }
-                        if t == RAW {
-                            let em = arena.emissions()[ei as usize];
-                            out_bits |= self.dense.advance_mask(bv, &blob[em.label_range()]);
-                        } else {
-                            let tv = &trans[t as usize];
-                            let mut rem = bv;
-                            while rem != 0 {
-                                let s = rem.trailing_zeros() as usize;
-                                rem &= rem - 1;
-                                out_bits |= 1u64 << tv[s];
+                        match &blob[em.label_range()] {
+                            &[b] => {
+                                let mut rem = bv;
+                                while rem != 0 {
+                                    let s = rem.trailing_zeros();
+                                    rem &= rem - 1;
+                                    out_bits |= 1u64 << self.dense.next(s, b);
+                                }
                             }
+                            label => out_bits |= self.dense.advance_mask(bv, label),
                         }
                     }
                     if out_bits & mask != 0 {
@@ -396,9 +270,9 @@ impl ScanKernel {
             }
         }
 
-        // Exact DP — the loop of `eval_sfa`, with the label walk replaced
-        // by the interned transition gather and state vectors drawn from
-        // a pool instead of allocated per row.
+        // Exact DP — the loop of `eval_sfa`, with the per-state label
+        // walks shared across the node's live states and state vectors
+        // drawn from a pool instead of allocated per row.
         let q = self.dense.state_count();
         let n = arena.node_count() as usize;
         if vectors.len() < n {
@@ -427,27 +301,25 @@ impl ScanKernel {
             if !pairs.is_empty() {
                 for &eid in arena.out_edges(v) {
                     let e = arena.edges()[eid as usize];
-                    for ei in e.em_start..e.em_end {
-                        let t = em_trans[ei as usize];
-                        if t == SKIPPED {
+                    for em in &arena.emissions()[e.em_start as usize..e.em_end as usize] {
+                        if em.prob <= 0.0 {
                             continue;
                         }
-                        let em = arena.emissions()[ei as usize];
-                        // Destinations first: memoized labels gather from
-                        // the composed vector, un-memoized ones share one
-                        // convergence-aware walk of the dense table — the
-                        // same `state → state` function either way. The
+                        // Destinations first: a one-byte label steps each
+                        // source through the byte-class table, a longer
+                        // one shares a convergence-aware walk — both are
+                        // `run_from(s, label)` per source. The
                         // accumulation below then runs in the reference
                         // order (ascending source state).
                         dests.clear();
                         dests.extend(pairs.iter().map(|&(s, _)| s));
-                        if t == RAW {
-                            self.dense.advance_states(dests, &blob[em.label_range()]);
-                        } else {
-                            let tv = &trans[t as usize];
-                            for d in dests.iter_mut() {
-                                *d = tv[*d as usize];
+                        match &blob[em.label_range()] {
+                            &[b] => {
+                                for d in dests.iter_mut() {
+                                    *d = self.dense.next(*d, b);
+                                }
                             }
+                            label => self.dense.advance_states(dests, label),
                         }
                         let dst = &mut vectors[e.to as usize];
                         if dst.is_empty() {
@@ -488,21 +360,12 @@ impl ScanKernel {
     }
 }
 
-/// Per-worker mutable scan state: the decode arena, the label-transition
-/// memo, and pooled DP vectors. One per scan thread; never shared.
+/// Per-worker mutable scan state: the decode arena and pooled DP
+/// buffers. Holds nothing that outlives a row, so one scratch can serve
+/// any kernel. One per scan thread; never shared.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
-    /// Id of the kernel whose transitions are currently memoized
-    /// (0 = none yet).
-    bound: u64,
     arena: DecodeArena,
-    /// Label bytes → index into `trans`.
-    interner: LabelMap,
-    /// Memoized `state → state` transition vector per interned label.
-    trans: Vec<Box<[u32]>>,
-    compose_tmp: Vec<u32>,
-    /// Per-emission resolved transition id for the current row.
-    em_trans: Vec<u32>,
     /// Tier-2 per-node DFA-state bitsets.
     bits: Vec<u64>,
     /// Per-node massy `(state, mass)` sources for the DP inner loop.
@@ -520,11 +383,6 @@ impl ScanScratch {
     /// reused row to row.
     pub fn new() -> ScanScratch {
         ScanScratch::default()
-    }
-
-    /// Number of distinct labels currently memoized (diagnostics).
-    pub fn interned_labels(&self) -> usize {
-        self.trans.len()
     }
 }
 
@@ -637,6 +495,5 @@ mod tests {
             assert_eq!(reused.probability.to_bits(), cold.probability.to_bits());
             fresh = ScanScratch::new();
         }
-        assert!(scratch.interned_labels() > 0);
     }
 }

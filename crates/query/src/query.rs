@@ -20,7 +20,7 @@ pub struct Query {
     /// Left anchor word (lowercased), if the pattern is left-anchored.
     pub anchor: Option<String>,
     /// The compiled scan kernel the filescan executors run (dense DFA,
-    /// interned label transitions, anchor prescreen).
+    /// literal bitmap, anchor prescreen).
     pub kernel: ScanKernel,
 }
 

@@ -250,7 +250,11 @@ pub struct ArenaEdge {
 /// * the topological order is computed into a reusable buffer with the
 ///   exact tie-breaking of [`Sfa::try_topo_order`] (zero in-degree nodes
 ///   ascending, then FIFO following edge-index order), so evaluation over
-///   the arena visits nodes in the same order as over a decoded [`Sfa`].
+///   the arena visits nodes in the same order as over a decoded [`Sfa`];
+/// * the set of byte values occurring in any label is recorded as a
+///   256-bit map ([`DecodeArena::label_bytes`]) by the same pass that
+///   checks labels for ASCII, so a byte-presence test needs no second
+///   walk over the labels.
 ///
 /// Every validation [`decode`] performs is replicated — header and count
 /// checks, UTF-8 and probability checks, and the structural invariants of
@@ -275,6 +279,8 @@ pub struct DecodeArena {
     /// chasing edge indices.
     out_to: Vec<u32>,
     topo: Vec<u32>,
+    /// Bit `b` set iff byte value `b` occurs in some emission label.
+    label_bytes: [u64; 4],
     // Scratch reused across decodes.
     indeg: Vec<u32>,
     head: Vec<u32>,
@@ -335,6 +341,15 @@ impl DecodeArena {
     pub fn topo(&self) -> &[u32] {
         &self.topo
     }
+
+    /// The byte values occurring in the last decoded blob's emission
+    /// labels — every emission, zero-probability ones included — as a
+    /// 256-bit map: bit `b & 63` of word `b >> 6` is set iff byte `b`
+    /// occurs in some label.
+    #[inline]
+    pub fn label_bytes(&self) -> &[u64; 4] {
+        &self.label_bytes
+    }
 }
 
 /// Deserialize an SFA blob into a reusable [`DecodeArena`], performing the
@@ -346,6 +361,7 @@ pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaE
     arena.out_off.clear();
     arena.out_edges.clear();
     arena.topo.clear();
+    arena.label_bytes = [0; 4];
     arena.nodes = 0;
 
     let mut r = Reader { buf, pos: 0 };
@@ -396,8 +412,14 @@ pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaE
             // valid UTF-8 by construction; labels are a few bytes, so a
             // branchless OR-fold beats the library `is_ascii` call and
             // only genuinely multi-byte labels pay the full validator.
-            // Accepts exactly the labels `decode` accepts.
-            let ascii = label_bytes.iter().fold(0u8, |acc, &b| acc | b) < 0x80;
+            // Accepts exactly the labels `decode` accepts. The same walk
+            // records which byte values occur.
+            let mut folded = 0u8;
+            for &b in label_bytes {
+                folded |= b;
+                arena.label_bytes[(b >> 6) as usize] |= 1u64 << (b & 63);
+            }
+            let ascii = folded < 0x80;
             if !ascii && std::str::from_utf8(label_bytes).is_err() {
                 return Err(SfaError::BadLabel);
             }
@@ -815,6 +837,52 @@ mod tests {
         assert!(decode_into_arena(&big[..big.len() - 3], &mut arena).is_err());
         decode_into_arena(&small, &mut arena).unwrap();
         assert_eq!(arena.node_count(), 2);
+    }
+
+    fn byte_map(bytes: &[u8]) -> [u64; 4] {
+        let mut map = [0u64; 4];
+        for &b in bytes {
+            map[(b >> 6) as usize] |= 1u64 << (b & 63);
+        }
+        map
+    }
+
+    #[test]
+    fn label_bytes_cover_zero_probability_and_non_ascii_labels() {
+        let mut b = SfaBuilder::new();
+        let s = b.add_node();
+        let f = b.add_node();
+        b.add_edge(
+            s,
+            f,
+            vec![Emission::new("ab", 1.0), Emission::new("é~", 0.0)],
+        );
+        let blob = encode(&b.build(s, f).unwrap());
+        let mut arena = DecodeArena::new();
+        decode_into_arena(&blob, &mut arena).unwrap();
+        assert_eq!(arena.label_bytes(), &byte_map("abé~".as_bytes()));
+        assert_ne!(arena.label_bytes()[3], 0, "0xC3/0xA9 land in word 3");
+    }
+
+    #[test]
+    fn label_bytes_reset_between_rows_and_after_errors() {
+        let big = encode(&figure1());
+        let mut b = SfaBuilder::new();
+        let s = b.add_node();
+        let f = b.add_node();
+        b.add_edge(s, f, vec![Emission::new("x", 1.0)]);
+        let small = encode(&b.build(s, f).unwrap());
+        let mut arena = DecodeArena::new();
+        decode_into_arena(&big, &mut arena).unwrap();
+        assert_eq!(arena.label_bytes(), &byte_map(b"FT0o rmd3"));
+        // A byte seen in one row does not carry into the next.
+        decode_into_arena(&small, &mut arena).unwrap();
+        assert_eq!(arena.label_bytes(), &byte_map(b"x"));
+        // A failed decode may leave a partial map; the next good decode
+        // starts from an empty one.
+        assert!(decode_into_arena(&big[..big.len() - 3], &mut arena).is_err());
+        decode_into_arena(&small, &mut arena).unwrap();
+        assert_eq!(arena.label_bytes(), &byte_map(b"x"));
     }
 
     #[test]

@@ -7,21 +7,48 @@
 
 use proptest::prelude::*;
 use staccato::approx::{approximate, StaccatoParams};
+use staccato::ocr::{generate, ChannelConfig, CorpusKind};
 use staccato::query::kernel::ScanScratch;
+use staccato::query::store::{LoadOptions, OcrStore};
 use staccato::query::{eval_sfa, eval_strings, Query};
 use staccato::sfa::{codec, Emission, Sfa, SfaBuilder};
+use staccato::storage::Database;
+use staccato_bench::table6_queries;
+
+/// How a position's emission labels are drawn.
+#[derive(Debug, Clone, Copy)]
+enum Labels {
+    /// One ASCII character per emission, like OCRopus output.
+    Char,
+    /// 2–4-byte ASCII labels, like short Staccato chunks.
+    Short,
+    /// Some labels carry multi-byte UTF-8 characters.
+    NonAscii,
+    /// One-character labels plus an extra emission of probability zero.
+    ZeroProb,
+}
 
 /// A small random SFA shaped like OCR output — a chain with occasional
-/// two-branch bubbles (same shape `tests/properties.rs` uses).
+/// two-branch bubbles (same shape `tests/properties.rs` uses) — whose
+/// positions mix the label kinds of [`Labels`].
 fn sfa_strategy() -> impl Strategy<Value = Sfa> {
-    let position =
-        prop::collection::vec((prop::sample::select([2usize, 3, 4]), any::<u32>()), 2..8);
+    let labels = prop::sample::select(vec![
+        Labels::Char,
+        Labels::Short,
+        Labels::NonAscii,
+        Labels::ZeroProb,
+    ]);
+    let position = prop::collection::vec(
+        (prop::sample::select([2usize, 3, 4]), any::<u32>(), labels),
+        2..8,
+    );
     (position, any::<bool>()).prop_map(|(positions, bubble)| {
         let mut b = SfaBuilder::new();
         let start = b.add_node();
         let mut cur = start;
         let alphabet: Vec<char> = "abcdefghijklmnopqrstuvwxyz0123456789".chars().collect();
-        for (i, (fanout, salt)) in positions.iter().enumerate() {
+        let wide = ['é', 'ß', '€', 'ü'];
+        for (i, (fanout, salt, kind)) in positions.iter().enumerate() {
             let next = b.add_node();
             let mut chars: Vec<char> = (0..*fanout)
                 .map(|j| alphabet[((salt >> (j * 5)) as usize + j * 7 + i) % alphabet.len()])
@@ -29,14 +56,27 @@ fn sfa_strategy() -> impl Strategy<Value = Sfa> {
             chars.sort_unstable();
             chars.dedup();
             let n = chars.len();
-            let emissions: Vec<Emission> = chars
+            let mut emissions: Vec<Emission> = chars
                 .into_iter()
                 .enumerate()
                 .map(|(j, c)| {
                     let p = (j + 1) as f64 / (n * (n + 1) / 2) as f64;
-                    Emission::new(c.to_string(), p)
+                    let extra = (salt >> (j * 3)) as usize;
+                    let label: String = match kind {
+                        Labels::Short => (0..2 + extra % 3)
+                            .map(|t| alphabet[(c as usize + t * (extra % 5 + 1)) % alphabet.len()])
+                            .collect(),
+                        Labels::NonAscii if extra & 1 == 0 => {
+                            format!("{c}{}", wide[extra / 2 % wide.len()])
+                        }
+                        _ => c.to_string(),
+                    };
+                    Emission::new(label, p)
                 })
                 .collect();
+            if let Labels::ZeroProb = kind {
+                emissions.push(Emission::new(alphabet[*salt as usize % 3].to_string(), 0.0));
+            }
             if bubble && i == 1 && emissions.len() >= 2 {
                 let (left, right) = emissions.split_at(1);
                 let mid = b.add_node();
@@ -96,9 +136,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // FullSFA and Staccato blobs under random regex patterns. The
-    // Staccato approximations exercise multi-character chunk labels and
-    // the label-transition memo; the scratch is reused across every blob
-    // of a case, as a scan worker would.
+    // Staccato approximations exercise multi-character chunk labels (one
+    // -byte labels step the table, longer ones are walked in place); the
+    // scratch is reused across every blob of a case, as a scan worker
+    // would.
     #[test]
     fn kernel_blob_eval_is_bit_identical(sfa in sfa_strategy(), pattern in pattern_strategy()) {
         let q = Query::regex(&pattern).unwrap();
@@ -107,6 +148,52 @@ proptest! {
         for (m, k) in [(3usize, 2usize), (8, 4)] {
             let blob = codec::encode(&approximate(&sfa, StaccatoParams::new(m, k)));
             assert_blob_identity(&q, &blob, &mut scratch);
+        }
+    }
+
+    // Patterns whose DFA has more than 64 states turn tier 2 off, so
+    // rows that pass tier 1 go straight to the exact DP.
+    #[test]
+    fn kernel_blob_eval_is_bit_identical_without_tier2(
+        sfa in sfa_strategy(),
+        pattern in prop::sample::select(vec![
+            "a[ab][ab][ab][ab][ab][ab]c",
+            "a[a-z0-9][a-z0-9][a-z0-9][a-z0-9][a-z0-9][a-z0-9]b",
+            "[ab][a-z][a-z][a-z][a-z][a-z]b",
+        ]),
+    ) {
+        let q = Query::regex(pattern).unwrap();
+        prop_assert!(q.kernel.dense().state_count() > 64, "{} states", q.kernel.dense().state_count());
+        let mut scratch = ScanScratch::new();
+        assert_blob_identity(&q, &codec::encode(&sfa), &mut scratch);
+        for (m, k) in [(3usize, 2usize), (8, 4)] {
+            let blob = codec::encode(&approximate(&sfa, StaccatoParams::new(m, k)));
+            assert_blob_identity(&q, &blob, &mut scratch);
+        }
+    }
+
+    // A scratch holds nothing across rows that depends on the kernel:
+    // interleaving two kernels over one scratch gives the same bits as a
+    // fresh scratch per evaluation.
+    #[test]
+    fn scratch_reuse_across_kernels_is_bit_identical(
+        sfa in sfa_strategy(),
+        first in pattern_strategy(),
+        second in "[a-z0-9]{1,3}",
+    ) {
+        let kernels = [Query::regex(&first).unwrap(), Query::keyword(&second).unwrap()];
+        let blobs = [
+            codec::encode(&sfa),
+            codec::encode(&approximate(&sfa, StaccatoParams::new(4, 3))),
+        ];
+        let mut shared = ScanScratch::new();
+        for blob in &blobs {
+            for q in kernels.iter().chain(kernels.iter().rev()) {
+                let reused = q.kernel.eval_blob(&mut shared, blob).unwrap();
+                let fresh = q.kernel.eval_blob(&mut ScanScratch::new(), blob).unwrap();
+                prop_assert_eq!(reused.probability.to_bits(), fresh.probability.to_bits());
+                prop_assert_eq!(reused.prescreened, fresh.prescreened);
+            }
         }
     }
 
@@ -170,5 +257,71 @@ proptest! {
                 q.pattern
             );
         }
+    }
+}
+
+/// Real OCR output instead of generated graphs: a CongressActs store
+/// loaded once with the compact channel and small (m, k) the benchmarks
+/// use and once with the default options, every FullSFA and Staccato row
+/// evaluated under the Table 6 queries plus a `LIKE`, kernel against the
+/// naive DP over the allocating decode.
+#[test]
+fn kernel_is_bit_identical_on_real_corpus_rows() {
+    let data = generate(CorpusKind::CongressActs, 120, 42);
+    let compact = LoadOptions {
+        channel: ChannelConfig::compact(42),
+        kmap_k: 8,
+        staccato: StaccatoParams::new(10, 8),
+        parallelism: 2,
+    };
+    let mut queries: Vec<Query> = table6_queries(CorpusKind::CongressActs)
+        .iter()
+        .map(|spec| {
+            if spec.keyword {
+                Query::keyword(spec.pattern)
+            } else {
+                Query::regex(spec.pattern)
+            }
+            .unwrap()
+        })
+        .collect();
+    queries.push(Query::like("%Public Law%").unwrap());
+    for opts in [compact, LoadOptions::default()] {
+        let store = OcrStore::load(Database::in_memory(4096).unwrap(), &data, &opts).unwrap();
+        let mut scratch = ScanScratch::new();
+        let (mut rows, mut skipped) = (0usize, 0usize);
+        let mut check = |_key: i64, blob: &[u8]| {
+            let sfa = codec::decode(blob).unwrap();
+            for q in &queries {
+                let naive = eval_sfa(&q.dfa, &sfa);
+                let out = q.kernel.eval_blob(&mut scratch, blob).unwrap();
+                assert_eq!(
+                    out.probability.to_bits(),
+                    naive.to_bits(),
+                    "{:?} (staccato {:?}): kernel={} naive={}",
+                    q.pattern,
+                    opts.staccato,
+                    out.probability,
+                    naive
+                );
+                if out.prescreened {
+                    assert_eq!(
+                        naive, 0.0,
+                        "{:?}: prescreen skipped a row with mass",
+                        q.pattern
+                    );
+                    skipped += 1;
+                }
+                rows += 1;
+            }
+            Ok(())
+        };
+        store.for_each_full_sfa_blob(&mut check).unwrap();
+        store.for_each_staccato_blob(&mut check).unwrap();
+        assert_eq!(rows, 2 * 120 * queries.len());
+        assert!(
+            skipped > 0 && skipped < rows,
+            "{skipped} of {rows} rows prescreened"
+        );
     }
 }
