@@ -239,18 +239,21 @@ fn naive_scan(store: &OcrStore, approach: Approach, q: &Query) -> (Vec<Answer>, 
             }
         }
         Approach::FullSfa | Approach::Staccato => {
-            let cursor = match approach {
-                Approach::FullSfa => store.full_sfa_blobs(),
-                _ => store.staccato_blobs(),
-            };
-            for item in cursor.expect("cursor") {
-                let (key, blob) = item.expect("row");
+            // The owned copy per row is part of the reference path.
+            let each = |key: i64, blob: &[u8]| {
+                let blob = blob.to_vec();
                 lines += 1;
                 topk.push(Answer {
                     data_key: key,
                     probability: eval_sfa(&q.dfa, &codec::decode(&blob).expect("blob")),
                 });
+                Ok(())
+            };
+            match approach {
+                Approach::FullSfa => store.for_each_full_sfa_blob(each),
+                _ => store.for_each_staccato_blob(each),
             }
+            .expect("blob visit");
         }
     }
     (topk.into_ranked(), lines)

@@ -8,20 +8,22 @@
 //! makes almost every line weakly positive, which is exactly why its
 //! precision collapses while recall is perfect (§5.1).
 //!
-//! Execution is pull-based: each executor consumes a row cursor from
-//! [`OcrStore`] one line at a time and feeds a bounded [`TopK`] heap, so
-//! sequential query memory is `O(NumAns + one line)` regardless of
-//! corpus size (a parallel scan holds one private accumulator per worker
-//! plus a bounded in-flight window: `O(P · NumAns + P · 4 lines)`). With
-//! `parallelism > 1` every representation scans morsel-style: one thread
-//! drives the (sequential) heap scan and hands rows to worker threads
-//! over a bounded channel; each worker folds its share into a private
-//! accumulator (a [`TopK`] heap or a partial aggregate) and the driver
-//! merges the per-worker accumulators in worker order once the scan is
-//! drained (§5.4: per-line probability computations are independent, so
-//! the scan partitions trivially). Merging bounded heaps is exact: every
-//! answer of the global top-k survives in its worker's local top-k, and
-//! the final heap re-applies the full ranking order, ties included.
+//! Execution is one borrowed page visitor for every representation: a
+//! worker claims heap pages from a shared [`ChainCursor`], decodes each
+//! row in place on the read-latched page, evaluates it through the
+//! query's compiled [`ScanKernel`] and feeds a
+//! bounded [`TopK`] heap (or a streaming aggregate), so query memory is
+//! `O(NumAns)` per worker regardless of corpus size and no row is copied.
+//! With `parallelism > 1` the calling thread and `parallelism - 1`
+//! scoped threads run the same visitor over the same cursor, each into a
+//! private accumulator; the accumulators merge in worker order once the
+//! chain is drained (§5.4: per-line probability computations are
+//! independent, so the scan partitions trivially). Merging bounded heaps
+//! is exact: every answer of the global top-k survives in its worker's
+//! local top-k, and the final heap re-applies the full ranking order,
+//! ties included. A k-MAP line spans several rows, possibly on two
+//! pages; it belongs to the worker holding the page of its first row,
+//! which reads ahead along the chain to finish it.
 //!
 //! These executors are plumbing; the public entry point is
 //! [`Staccato::execute`](crate::session::Staccato::execute) with a
@@ -29,15 +31,13 @@
 
 use crate::agg::StreamingAggregate;
 use crate::error::QueryError;
-use crate::kernel::ScanScratch;
+use crate::kernel::{EvalOutcome, ScanKernel, ScanScratch, StringGroup};
 use crate::plan::ExecStats;
 use crate::query::Query;
-use crate::store::OcrStore;
+use crate::store::{decode_blob_row, decode_kmap_row, decode_map_row, row_key, OcrStore};
+use staccato_storage::{BufferPool, ChainCursor, ChainPage, Schema};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 
 /// Which representation a query runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,6 +71,16 @@ impl Approach {
             Approach::FullSfa,
             Approach::Staccato,
         ]
+    }
+
+    /// The Table 5 table a FileScan over this representation reads.
+    fn table(self) -> &'static str {
+        match self {
+            Approach::Map => "MAPData",
+            Approach::KMap => "kMAPData",
+            Approach::FullSfa => "FullSFAData",
+            Approach::Staccato => "StaccatoGraph",
+        }
     }
 }
 
@@ -260,7 +270,7 @@ impl Sink<'_> {
     }
 
     /// An owned, empty accumulator of the same kind and qualification
-    /// rules — the per-worker sink of the morsel-parallel scan.
+    /// rules — the per-worker sink of a parallel scan.
     fn fork(&self) -> OwnedSink {
         match self {
             Sink::Ranked(topk) => {
@@ -294,28 +304,31 @@ enum OwnedSink {
 }
 
 impl OwnedSink {
-    fn offer(&mut self, answer: Answer) {
+    fn as_sink(&mut self) -> Sink<'_> {
         match self {
-            OwnedSink::Ranked(topk) => topk.push(answer),
-            OwnedSink::Aggregate(agg) => agg.fold(answer),
+            OwnedSink::Ranked(topk) => Sink::Ranked(topk),
+            OwnedSink::Aggregate(agg) => Sink::Aggregate(agg),
         }
     }
 }
 
 /// Streaming filescan over `approach`, evaluating lines on up to
 /// `parallelism` workers, delivering answers into `sink`, counting into
-/// `stats`. Every representation partitions the same way: the scan stays
-/// sequential (one buffer pool cursor) while per-line evaluation fans
-/// out.
+/// `stats`.
 ///
-/// Evaluation runs through the query's compiled [`ScanKernel`]
-/// (see [`crate::kernel`]): rows stream as raw bytes and are decoded
-/// *borrowed* inside each worker (no per-line `String`/`Sfa`
-/// materialization), blobs run through the arena DP over the dense DFA,
-/// and the anchor prescreen skips lines that provably
-/// cannot match — counted in [`ExecStats::prescreen_skipped`]. Skipped
-/// lines still count as evaluated: the prescreen changes *how* a line's
-/// probability is computed, never whether it is.
+/// Every representation runs the same borrowed page visitor
+/// ([`FileScan::run`]): rows are decoded in place on the read-latched
+/// heap page (no per-row `Vec`, `String` or `Sfa`) and evaluated through
+/// the query's compiled [`ScanKernel`] — strings by the dense DFA, blobs
+/// by the arena DP — with the anchor prescreen skipping lines that
+/// provably cannot match, counted in [`ExecStats::prescreen_skipped`].
+/// Skipped lines still count as evaluated: the prescreen changes *how* a
+/// line's probability is computed, never whether it is.
+///
+/// With `parallelism > 1` the calling thread is worker 0 and
+/// `parallelism - 1` scoped threads join it; all take pages from one
+/// shared [`ChainCursor`], each with its own scratch and forked sink,
+/// merged in worker order.
 ///
 /// [`ScanKernel`]: crate::kernel::ScanKernel
 pub(crate) fn exec_filescan(
@@ -326,286 +339,183 @@ pub(crate) fn exec_filescan(
     sink: &mut Sink<'_>,
     stats: &mut ExecStats,
 ) -> Result<(), QueryError> {
-    let parallelism = parallelism.max(1);
-    let kernel = &query.kernel;
-    let skipped = AtomicU64::new(0);
-    let skipped = &skipped;
-    let result = match approach {
-        Approach::Map => scan_into(
-            store.map_raw_cursor()?,
-            |_| 1,
-            || {
-                move |bytes: &Vec<u8>| {
-                    let (s, p) = crate::store::decode_map_row(bytes)?;
-                    let out = kernel.eval_string(s, p);
-                    if out.prescreened {
-                        skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                    }
-                    Ok(out.probability)
-                }
-            },
-            parallelism,
-            sink,
-            stats,
-        ),
-        Approach::KMap => scan_into(
-            store.kmap_raw_cursor()?,
-            |rows| rows.len() as u64,
-            || {
-                move |rows: &Vec<Vec<u8>>| {
-                    let mut decoded = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        decoded.push(crate::store::decode_kmap_row(row)?);
-                    }
-                    let out = kernel.eval_string_group(decoded.iter().copied());
-                    if out.prescreened {
-                        skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                    }
-                    Ok(out.probability)
-                }
-            },
-            parallelism,
-            sink,
-            stats,
-        ),
-        Approach::FullSfa | Approach::Staccato => {
-            if parallelism <= 1 {
-                // Single-threaded blob scans stream borrowed bytes through
-                // one reusable blob buffer (no per-row `Vec`); the morsel
-                // path below needs owned rows to ship across the channel.
-                let mut scratch = ScanScratch::new();
-                let stats = &mut *stats;
-                let each = move |key: i64, blob: &[u8]| -> Result<(), QueryError> {
-                    stats.rows_scanned += 1;
-                    stats.lines_evaluated += 1;
-                    let out = kernel.eval_blob(&mut scratch, blob)?;
-                    if out.prescreened {
-                        skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                    }
-                    sink.offer(Answer {
-                        data_key: key,
-                        probability: out.probability,
-                    });
-                    Ok(())
-                };
-                match approach {
-                    Approach::FullSfa => store.for_each_full_sfa_blob(each),
-                    _ => store.for_each_staccato_blob(each),
-                }
-            } else {
-                let cursor = match approach {
-                    Approach::FullSfa => store.full_sfa_blobs()?,
-                    _ => store.staccato_blobs()?,
-                };
-                scan_into(
-                    cursor,
-                    |_| 1,
-                    || {
-                        let mut scratch = ScanScratch::new();
-                        move |blob: &Vec<u8>| {
-                            let out = kernel.eval_blob(&mut scratch, blob)?;
-                            if out.prescreened {
-                                skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                            }
-                            Ok(out.probability)
-                        }
-                    },
-                    parallelism,
-                    sink,
-                    stats,
-                )
-            }
-        }
+    let (schema, heap) = store.table(approach.table())?;
+    let pool = store.db().pool();
+    let pages = heap.pages(pool);
+    let scan = FileScan {
+        approach,
+        kernel: &query.kernel,
+        schema: &schema,
+        pool,
+        pages: &pages,
     };
-    stats.prescreen_skipped += skipped.load(AtomicOrdering::Relaxed);
+    let mut counts = ScanCounts::default();
+    let result = if parallelism <= 1 {
+        scan.run(sink, &mut counts)
+    } else {
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..parallelism)
+                .map(|_| {
+                    let mut local = sink.fork();
+                    scope.spawn(move || {
+                        let mut counts = ScanCounts::default();
+                        let result = scan.run(&mut local.as_sink(), &mut counts);
+                        (local, counts, result)
+                    })
+                })
+                .collect();
+            let mut local = sink.fork();
+            let mut result = scan.run(&mut local.as_sink(), &mut counts);
+            sink.absorb(local);
+            for helper in helpers {
+                let (local, worker_counts, worker_result) =
+                    helper.join().expect("scan worker panicked");
+                counts.add(worker_counts);
+                result = result.and(worker_result);
+                sink.absorb(local);
+            }
+            result
+        })
+    };
+    stats.rows_scanned += counts.rows;
+    stats.lines_evaluated += counts.lines;
+    stats.prescreen_skipped += counts.prescreened;
     result
 }
 
-/// The shared scan driver: pull `(DataKey, payload)` rows off `cursor`
-/// and fold per-line probabilities into `sink`, sequentially or
-/// morsel-parallel. `rows_of` is the physical row count a payload
-/// represents (k-MAP reads k rows per line). `make_eval` builds one
-/// evaluation closure per worker — the closure owns that worker's
-/// mutable scan scratch (decode arena, DP vector pool), so
-/// workers never contend on shared state.
-fn scan_into<T, E>(
-    cursor: impl Iterator<Item = Result<(i64, T), QueryError>>,
-    rows_of: impl Fn(&T) -> u64,
-    make_eval: impl Fn() -> E + Sync,
-    parallelism: usize,
-    sink: &mut Sink<'_>,
-    stats: &mut ExecStats,
-) -> Result<(), QueryError>
-where
-    T: Send,
-    E: FnMut(&T) -> Result<f64, QueryError>,
-{
-    if parallelism <= 1 {
-        let mut eval = make_eval();
-        for item in cursor {
-            let (key, payload) = item?;
-            stats.rows_scanned += rows_of(&payload);
-            stats.lines_evaluated += 1;
-            sink.offer(Answer {
-                data_key: key,
-                probability: eval(&payload)?,
-            });
-        }
-        return Ok(());
-    }
-    morsel_scan(cursor, rows_of, make_eval, parallelism, sink, stats)
-}
-
-/// What one scan worker hands back when the work queue drains.
-struct WorkerOutcome {
-    sink: OwnedSink,
+/// One worker's tallies, summed into [`ExecStats`] after the scan.
+#[derive(Debug, Default, Clone, Copy)]
+struct ScanCounts {
+    rows: u64,
     lines: u64,
-    error: Option<QueryError>,
+    prescreened: u64,
 }
 
-/// Fan per-line evaluation out to `parallelism` workers while this
-/// thread drives the (sequential) heap scan. Workers pull rows from a
-/// bounded queue and fold answers into private accumulators; the driver
-/// merges them in worker-index order once the scan is drained, so merged
-/// ranked results are identical to a sequential run.
-fn morsel_scan<T, E>(
-    cursor: impl Iterator<Item = Result<(i64, T), QueryError>>,
-    rows_of: impl Fn(&T) -> u64,
-    make_eval: impl Fn() -> E + Sync,
-    parallelism: usize,
-    sink: &mut Sink<'_>,
-    stats: &mut ExecStats,
-) -> Result<(), QueryError>
-where
-    T: Send,
-    E: FnMut(&T) -> Result<f64, QueryError>,
-{
-    std::thread::scope(|scope| -> Result<(), QueryError> {
-        // Bounded work queue: the scan stays ahead of the workers without
-        // ever materializing more than a window of rows.
-        let (work_tx, work_rx) = mpsc::sync_channel::<(i64, T)>(parallelism * 4);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let make_eval = &make_eval;
-        let mut handles = Vec::with_capacity(parallelism);
-        for _ in 0..parallelism {
-            let work_rx = Arc::clone(&work_rx);
-            let mut local = sink.fork();
-            handles.push(scope.spawn(move || {
-                // Per-worker evaluation state, built on the worker's own
-                // thread: scratch buffers are owned, never shared.
-                let mut eval = make_eval();
-                let mut lines = 0u64;
-                let mut error = None;
-                loop {
-                    let next = work_rx.lock().expect("queue lock").recv();
-                    let Ok((key, payload)) = next else { break };
-                    if error.is_some() {
-                        continue; // drain cheaply; the query already failed
-                    }
-                    match eval(&payload) {
-                        Ok(probability) => {
-                            lines += 1;
-                            local.offer(Answer {
-                                data_key: key,
-                                probability,
-                            });
-                        }
-                        Err(e) => error = Some(e),
-                    }
-                }
-                WorkerOutcome {
-                    sink: local,
-                    lines,
-                    error,
-                }
-            }));
-        }
-        // Drop the driver's receiver handle: if every worker dies (only
-        // on panic), the channel closes and `send` below errors instead
-        // of blocking forever once the bounded queue fills.
-        drop(work_rx);
+impl ScanCounts {
+    fn add(&mut self, other: ScanCounts) {
+        self.rows += other.rows;
+        self.lines += other.lines;
+        self.prescreened += other.prescreened;
+    }
+}
 
-        let mut scan_error = None;
-        for item in cursor {
-            match item {
-                Ok((key, payload)) => {
-                    stats.rows_scanned += rows_of(&payload);
-                    if work_tx.send((key, payload)).is_err() {
-                        break; // all workers gone (only on panic)
+/// The page visitor every FileScan worker runs. Immutable and shared;
+/// each [`FileScan::run`] keeps its own scratch.
+#[derive(Clone, Copy)]
+struct FileScan<'a> {
+    approach: Approach,
+    kernel: &'a ScanKernel,
+    schema: &'a Schema,
+    pool: &'a BufferPool,
+    pages: &'a ChainCursor<'a>,
+}
+
+impl FileScan<'_> {
+    /// Claim pages until the chain is exhausted, evaluating every line
+    /// that starts on them into `sink`. On error the shared cursor stops,
+    /// so the other workers finish their current page and return.
+    fn run(&self, sink: &mut Sink<'_>, counts: &mut ScanCounts) -> Result<(), QueryError> {
+        let result = self.visit_pages(sink, counts);
+        if result.is_err() {
+            self.pages.stop();
+        }
+        result
+    }
+
+    fn visit_pages(&self, sink: &mut Sink<'_>, counts: &mut ScanCounts) -> Result<(), QueryError> {
+        let mut scratch = ScanScratch::new();
+        let mut blob_buf = Vec::new();
+        let mut offer = |data_key: i64, out: EvalOutcome| {
+            counts.lines += 1;
+            counts.prescreened += u64::from(out.prescreened);
+            sink.offer(Answer {
+                data_key,
+                probability: out.probability,
+            });
+        };
+        while let Some(page) = self.pages.claim()? {
+            match self.approach {
+                Approach::Map => {
+                    for (_, row) in page.rows() {
+                        let (key, s, p) = decode_map_row(row)?;
+                        counts.rows += 1;
+                        offer(key, self.kernel.eval_string(s, p));
                     }
                 }
-                Err(e) => {
-                    scan_error = Some(e);
+                Approach::KMap => self.kmap_page(&page, &mut counts.rows, &mut offer)?,
+                Approach::FullSfa | Approach::Staccato => {
+                    for (_, row) in page.rows() {
+                        let (key, blob) = decode_blob_row(self.schema, row)?;
+                        counts.rows += 1;
+                        // Inline blobs are evaluated straight off the
+                        // page; only overflow chains assemble into
+                        // `blob_buf`.
+                        let out = blob.with_bytes(self.pool, &mut blob_buf, |bytes| {
+                            self.kernel.eval_blob(&mut scratch, bytes)
+                        })??;
+                        offer(key, out);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold the k-MAP lines that start on `page`: each line is the
+    /// running left fold of its rows in row order ([`StringGroup`]),
+    /// emitted when the DataKey changes. A line belongs to the worker
+    /// holding the page its first row is on, so leading rows that
+    /// continue the previous page's last line are skipped here, and a
+    /// line still open at the end of the page is finished by reading
+    /// ahead along the chain.
+    fn kmap_page(
+        &self,
+        page: &ChainPage<'_>,
+        rows_scanned: &mut u64,
+        offer: &mut impl FnMut(i64, EvalOutcome),
+    ) -> Result<(), QueryError> {
+        let mut rows = page.rows().peekable();
+        if let Some(before) = page.with_row_before(row_key)? {
+            let before = before?;
+            while let Some((_, row)) = rows.peek() {
+                if row_key(row)? != before {
                     break;
                 }
+                rows.next();
             }
         }
-        drop(work_tx);
-
-        let mut eval_error = None;
-        for handle in handles {
-            let outcome = handle.join().expect("scan worker panicked");
-            stats.lines_evaluated += outcome.lines;
-            if let Some(e) = outcome.error {
-                eval_error = Some(e);
+        let mut line: Option<(i64, StringGroup<'_>)> = None;
+        for (_, row) in rows {
+            let (key, s, p) = decode_kmap_row(row)?;
+            *rows_scanned += 1;
+            match &mut line {
+                Some((open, group)) if *open == key => group.push(s, p),
+                _ => {
+                    let mut group = self.kernel.string_group();
+                    group.push(s, p);
+                    if let Some((done, group)) = line.replace((key, group)) {
+                        offer(done, group.finish());
+                    }
+                }
             }
-            sink.absorb(outcome.sink);
         }
-        match (scan_error, eval_error) {
-            (Some(e), _) | (None, Some(e)) => Err(e),
-            (None, None) => Ok(()),
+        let Some((key, mut group)) = line else {
+            return Ok(());
+        };
+        let ahead = page.rest();
+        'ahead: while let Some(next) = ahead.claim()? {
+            for (_, row) in next.rows() {
+                let (next_key, s, p) = decode_kmap_row(row)?;
+                if next_key != key {
+                    break 'ahead;
+                }
+                *rows_scanned += 1;
+                group.push(s, p);
+            }
         }
-    })
-}
-
-/// Run `query` over the chosen representation with a full filescan,
-/// evaluating lines on `threads` worker threads.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Staccato::execute` with `QueryRequest::...parallelism(n)` instead"
-)]
-pub fn filescan_query_parallel(
-    store: &OcrStore,
-    approach: Approach,
-    query: &Query,
-    num_ans: usize,
-    threads: usize,
-) -> Result<Vec<Answer>, QueryError> {
-    let mut stats = ExecStats::default();
-    let mut topk = TopK::new(num_ans);
-    exec_filescan(
-        store,
-        approach,
-        query,
-        threads.max(1),
-        &mut Sink::Ranked(&mut topk),
-        &mut stats,
-    )?;
-    Ok(topk.into_ranked())
-}
-
-/// Run `query` over the chosen representation with a full filescan.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Staccato::execute` with a `QueryRequest` instead"
-)]
-pub fn filescan_query(
-    store: &OcrStore,
-    approach: Approach,
-    query: &Query,
-    num_ans: usize,
-) -> Result<Vec<Answer>, QueryError> {
-    let mut stats = ExecStats::default();
-    let mut topk = TopK::new(num_ans);
-    exec_filescan(
-        store,
-        approach,
-        query,
-        1,
-        &mut Sink::Ranked(&mut topk),
-        &mut stats,
-    )?;
-    Ok(topk.into_ranked())
+        offer(key, group.finish());
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -842,7 +752,7 @@ mod tests {
 
     #[test]
     fn parallel_aggregate_count_is_exact() {
-        // COUNT(*) is merge-order independent, so the morsel scan must
+        // COUNT(*) is merge-order independent, so the parallel scan must
         // produce the exact sequential count on every representation
         // (SUM/AVG may differ in ulps; COUNT may not).
         let (store, _) = store_with(25, 29);
@@ -974,16 +884,5 @@ mod tests {
                 "min_prob={min_prob}"
             );
         }
-    }
-
-    #[test]
-    fn deprecated_shims_still_answer() {
-        let (store, _) = store_with(10, 5);
-        let query = Query::keyword("data").unwrap();
-        #[allow(deprecated)]
-        let a = filescan_query(&store, Approach::Map, &query, 10).unwrap();
-        #[allow(deprecated)]
-        let b = filescan_query_parallel(&store, Approach::Map, &query, 10, 4).unwrap();
-        assert_eq!(a, b);
     }
 }

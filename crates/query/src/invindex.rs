@@ -19,12 +19,12 @@
 //! "Projection").
 
 use crate::error::QueryError;
-use crate::exec::{Answer, Sink, TopK};
+use crate::exec::{Answer, Sink};
 use crate::plan::ExecStats;
 use crate::query::Query;
-use crate::store::OcrStore;
+use crate::store::{decode_blob_row, OcrStore};
 use staccato_automata::{TermId, Trie};
-use staccato_sfa::{NodeId, Sfa};
+use staccato_sfa::{codec, NodeId, Sfa};
 use staccato_storage::{BTree, BufferPool};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -232,9 +232,16 @@ pub fn build_index(store: &OcrStore, trie: &Trie, name: &str) -> Result<Inverted
     for tid in 0..trie.term_count() as u32 {
         dict.insert(pool, trie.term(tid).as_bytes(), 1)?;
     }
+    // Postings go into B+-tree pages between rows, and a page visitor
+    // may not write to the pool under its heap read latch: scan owned
+    // rows instead.
+    let (schema, heap) = store.table("StaccatoGraph")?;
+    let mut blob_buf = Vec::new();
     let mut posting_count = 0u64;
-    for item in store.staccato_cursor()? {
-        let (key, graph) = item?;
+    for item in heap.scan(pool) {
+        let (_, row) = item?;
+        let (key, blob) = decode_blob_row(&schema, &row)?;
+        let graph = blob.with_bytes(pool, &mut blob_buf, codec::decode)??;
         posting_count += insert_line_postings(&postings, pool, trie, key, &graph)?;
     }
     Ok(InvertedIndex {
@@ -385,29 +392,6 @@ pub(crate) fn exec_index_probe(
     Ok(())
 }
 
-/// Index-assisted execution of a left-anchored query.
-#[deprecated(
-    since = "0.2.0",
-    note = "register the index on a `Staccato` session and use `execute` instead"
-)]
-pub fn indexed_query(
-    store: &OcrStore,
-    index: &InvertedIndex,
-    query: &Query,
-    num_ans: usize,
-) -> Result<Vec<Answer>, QueryError> {
-    let mut stats = ExecStats::default();
-    let mut topk = TopK::new(num_ans);
-    exec_index_probe(
-        store,
-        index,
-        query,
-        &mut Sink::Ranked(&mut topk),
-        &mut stats,
-    )?;
-    Ok(topk.into_ranked())
-}
-
 /// Figure 5's counter: how many postings *direct* indexing of one chunk
 /// graph would create — the number of `(path, word-start)` pairs across
 /// all `kᵐ` retained strings. Returned as `f64` because it overflows
@@ -444,6 +428,7 @@ pub fn direct_posting_count_log10(sfa: &Sfa) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::TopK;
     use crate::plan::{PlanPreference, QueryRequest};
     use crate::session::Staccato;
     use crate::store::{LoadOptions, OcrStore};

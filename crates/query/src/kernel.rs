@@ -151,24 +151,21 @@ impl ScanKernel {
     where
         I: IntoIterator<Item = (&'a str, f64)>,
     {
-        let mut total = self.string_zero;
-        let mut seen = 0usize;
-        let mut skipped = 0usize;
+        let mut group = self.string_group();
         for (s, p) in strings {
-            seen += 1;
-            if let Some(lit) = &self.literal {
-                if !s.contains(lit.as_str()) {
-                    skipped += 1;
-                    continue;
-                }
-            }
-            if self.dense.matches(s.as_bytes()) {
-                total += p;
-            }
+            group.push(s, p);
         }
-        EvalOutcome {
-            probability: total,
-            prescreened: seen > 0 && skipped == seen,
+        group.finish()
+    }
+
+    /// An empty k-MAP group to fold a line's strings into one at a time
+    /// (see [`StringGroup`]); scans fold rows straight off the page.
+    pub(crate) fn string_group(&self) -> StringGroup<'_> {
+        StringGroup {
+            kernel: self,
+            total: self.string_zero,
+            seen: 0,
+            skipped: 0,
         }
     }
 
@@ -357,6 +354,43 @@ impl ScanKernel {
             probability,
             prescreened: false,
         })
+    }
+}
+
+/// A k-MAP line's evaluation in progress: the running left fold
+/// `string_zero + p₁ + p₂ …` over the accepted strings, in the order they
+/// are pushed — so folding a line's rows one by one is bit-identical to
+/// [`ScanKernel::eval_string_group`] over the same rows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StringGroup<'k> {
+    kernel: &'k ScanKernel,
+    total: f64,
+    seen: usize,
+    skipped: usize,
+}
+
+impl StringGroup<'_> {
+    /// Fold in one string with probability `p`.
+    pub(crate) fn push(&mut self, s: &str, p: f64) {
+        self.seen += 1;
+        if let Some(lit) = &self.kernel.literal {
+            if !s.contains(lit.as_str()) {
+                self.skipped += 1;
+                return;
+            }
+        }
+        if self.kernel.dense.matches(s.as_bytes()) {
+            self.total += p;
+        }
+    }
+
+    /// The line's outcome: `prescreened` when every string (of a
+    /// non-empty group) was rejected by the literal test alone.
+    pub(crate) fn finish(self) -> EvalOutcome {
+        EvalOutcome {
+            probability: self.total,
+            prescreened: self.seen > 0 && self.skipped == self.seen,
+        }
     }
 }
 

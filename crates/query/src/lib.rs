@@ -30,9 +30,11 @@
 //!      WHERE Data LIKE '%Ford%'")?.explain.unwrap());
 //! ```
 //!
-//! Execution is streaming end to end: executors pull rows one line at a
-//! time from the store's cursors and rank through a bounded top-k heap,
-//! so query memory is `O(NumAns + one line)` regardless of corpus size.
+//! Execution is streaming end to end: a FileScan visits the table's
+//! heap pages, decodes each row borrowed off its page and ranks through a
+//! bounded top-k heap, so query memory is `O(NumAns)` per worker
+//! regardless of corpus size. Parallel scans run the same page visitor
+//! on several threads that share one chain cursor.
 //!
 //! ## Modules
 //!
@@ -45,10 +47,10 @@
 //! * [`eval`] — probability computation: `Pr[q]` over an SFA via the
 //!   forward dynamic program of \[Kimelfeld & Ré / Ré et al.\], and over
 //!   string sets for MAP/k-MAP (each string is a disjoint event, §3);
-//! * [`store`] — the Table 5 schema and its streaming row cursors:
-//!   loading a corpus through the OCR channel into MasterData / kMAPData /
-//!   FullSFAData / StaccatoData / StaccatoGraph / GroundTruth tables;
-//! * [`exec`] — streaming filescan executors for the four access methods
+//! * [`store`] — the Table 5 schema: loading a corpus through the OCR
+//!   channel into MasterData / kMAPData / FullSFAData / StaccatoData /
+//!   StaccatoGraph / GroundTruth tables, and borrowed row decoding;
+//! * [`exec`] — the FileScan page visitor for the four access methods
 //!   and the bounded [`exec::TopK`] answer ranking;
 //! * [`metrics`] — ground truth and precision/recall/F1 (the paper's
 //!   quality measures);
@@ -64,10 +66,6 @@
 //! * [`ingest`] — the WAL-backed write path's types: [`IngestBatch`],
 //!   [`IngestReceipt`], the durable `StaccatoHistory` row, and the
 //!   batch codec replayed by [`Staccato::recover`].
-//!
-//! The pre-session free functions (`filescan_query`,
-//! `filescan_query_parallel`, `indexed_query`) and the materializing
-//! `OcrStore::scan_*` methods remain as deprecated shims for one release.
 
 pub mod agg;
 pub mod cache;
@@ -101,8 +99,3 @@ pub use query::Query;
 pub use session::{CheckpointPolicy, QueryOutput, RecoverOptions, Staccato};
 pub use sql::{PreparedQuery, SqlError, SqlTable, SqlValue};
 pub use store::{LoadOptions, OcrStore, RepresentationSizes};
-
-#[allow(deprecated)]
-pub use exec::{filescan_query, filescan_query_parallel};
-#[allow(deprecated)]
-pub use invindex::indexed_query;

@@ -355,9 +355,9 @@ fn plan_access_path(
 ) -> Result<Plan, QueryError> {
     let filescan = Plan::FileScan {
         approach: request.approach,
-        // Honored on every representation: the morsel scan partitions
-        // per-line evaluation for the string representations exactly as
-        // it does for the SFA blobs (§5.4).
+        // Honored on every representation: workers share the table's
+        // pages for the string representations exactly as they do for
+        // the SFA blobs (§5.4).
         parallelism: request.parallelism,
     };
     match request.preference {

@@ -20,6 +20,14 @@
 //! Construction (channel → k-best → Staccato approximation) is
 //! embarrassingly parallel across lines (§5.2 used Condor); the loader
 //! fans out over `parallelism` threads.
+//!
+//! Reading: FileScans walk a table's heap pages themselves
+//! ([`crate::exec`]) and decode each row borrowed off its page with the
+//! `decode_*_row` helpers here. The store's own row access is for tools,
+//! tests and the reopen recount: owned rows from [`OcrStore::map_cursor`]
+//! and [`OcrStore::kmap_cursor`], borrowed blobs from
+//! [`OcrStore::for_each_full_sfa_blob`] and
+//! [`OcrStore::for_each_staccato_blob`].
 
 use crate::error::QueryError;
 use crate::ingest::HistoryRow;
@@ -27,8 +35,8 @@ use staccato_core::{approximate, StaccatoParams};
 use staccato_ocr::{Channel, ChannelConfig, Dataset};
 use staccato_sfa::{codec, k_best_paths, Sfa};
 use staccato_storage::{
-    BTree, BufferPool, ColumnType, Database, HeapFile, HeapScan, Rid, RowReader, Schema,
-    StorageError, Value,
+    BTree, BlobRef, ColumnType, Database, HeapFile, HeapScan, Rid, RowReader, Schema, StorageError,
+    Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -264,14 +272,14 @@ impl OcrStore {
                 sizes.kmap += s.len() as u64 + 16;
             }
         }
-        for item in store.full_sfa_blobs()? {
-            let (_, bytes) = item?;
+        store.for_each_full_sfa_blob(|_, bytes| {
             sizes.full_sfa += bytes.len() as u64;
-        }
-        for item in store.staccato_blobs()? {
-            let (_, bytes) = item?;
+            Ok(())
+        })?;
+        store.for_each_staccato_blob(|_, bytes| {
             sizes.staccato += bytes.len() as u64;
-        }
+            Ok(())
+        })?;
         store.lines.store(lines, Ordering::Release);
         *store.sizes.lock().expect("sizes lock") = sizes;
         Ok(store)
@@ -450,16 +458,13 @@ impl OcrStore {
         *self.sizes.lock().expect("sizes lock")
     }
 
-    /// Streaming cursor over the MAP strings: `(DataKey, string, prob)`.
-    ///
-    /// One row is decoded per `next()` call; nothing is materialized. This
-    /// (and its siblings below) is what the executors consume — the
-    /// full-corpus `scan_*` vectors the first revision built are gone from
-    /// the hot path.
+    /// Streaming cursor over the MAP strings: `(DataKey, string, prob)`,
+    /// one owned row per `next()`. FileScans do not use it (they decode
+    /// rows borrowed off the page, see [`crate::exec`]); it serves tools
+    /// and tests that want owned rows.
     pub fn map_cursor(&self) -> Result<MapCursor<'_>, QueryError> {
-        let (schema, heap) = self.db.table("MAPData")?;
+        let (_, heap) = self.db.table("MAPData")?;
         Ok(MapCursor {
-            schema,
             scan: heap.scan(self.db.pool()),
         })
     }
@@ -468,33 +473,8 @@ impl OcrStore {
     /// `(DataKey, [(string, prob)])`. Rows are stored clustered by
     /// DataKey, so grouping is a single buffered pass.
     pub fn kmap_cursor(&self) -> Result<KmapCursor<'_>, QueryError> {
-        let (schema, heap) = self.db.table("kMAPData")?;
-        Ok(KmapCursor {
-            schema,
-            scan: heap.scan(self.db.pool()),
-            pending: None,
-            done: false,
-        })
-    }
-
-    /// Streaming cursor over *raw* `MAPData` row bytes: `(DataKey, row)`.
-    /// The consumer decodes the payload columns borrowed from the row
-    /// bytes (see `decode_map_row`), so scan workers evaluate without a
-    /// per-row `String` allocation and off the scan thread.
-    pub fn map_raw_cursor(&self) -> Result<MapRawCursor<'_>, QueryError> {
-        let (_, heap) = self.db.table("MAPData")?;
-        Ok(MapRawCursor {
-            scan: heap.scan(self.db.pool()),
-        })
-    }
-
-    /// Streaming cursor over raw `kMAPData` rows grouped by line:
-    /// `(DataKey, [row bytes])`. The borrowed-decode sibling of
-    /// [`OcrStore::kmap_cursor`]; rows are clustered by DataKey so
-    /// grouping is a single buffered pass.
-    pub fn kmap_raw_cursor(&self) -> Result<KmapRawCursor<'_>, QueryError> {
         let (_, heap) = self.db.table("kMAPData")?;
-        Ok(KmapRawCursor {
+        Ok(KmapCursor {
             scan: heap.scan(self.db.pool()),
             pending: None,
             done: false,
@@ -502,10 +482,7 @@ impl OcrStore {
     }
 
     /// Visit every blob of `table` with borrowed bytes: no per-row
-    /// allocation. The streaming sibling of [`BlobCursor`] for
-    /// single-threaded scans — the scan-kernel hot path, where handing
-    /// each worker an owned `Vec<u8>` per row costs more than evaluating
-    /// it.
+    /// allocation.
     fn for_each_blob(
         &self,
         table: &'static str,
@@ -515,10 +492,7 @@ impl OcrStore {
         let pool = self.db.pool();
         let mut blob_buf: Vec<u8> = Vec::new();
         heap.for_each_row(pool, |_, bytes| -> Result<(), QueryError> {
-            let mut r = RowReader::new(&schema, bytes);
-            let key = r.int()?;
-            let blob = r.blob()?;
-            r.finish()?;
+            let (key, blob) = decode_blob_row(&schema, bytes)?;
             // Inline blobs are borrowed straight off the read-latched heap
             // page; only overflow chains assemble into the reusable
             // buffer. The callback only reads, so holding the latch
@@ -527,8 +501,7 @@ impl OcrStore {
         })
     }
 
-    /// Visit every full-SFA blob with borrowed bytes (see
-    /// [`OcrStore::staccato_blobs`] for the owned cursor).
+    /// Visit every full-SFA blob with borrowed bytes.
     pub fn for_each_full_sfa_blob(
         &self,
         f: impl FnMut(i64, &[u8]) -> Result<(), QueryError>,
@@ -544,77 +517,6 @@ impl OcrStore {
         self.for_each_blob("StaccatoGraph", f)
     }
 
-    fn blob_cursor(&self, table: &'static str) -> Result<BlobCursor<'_>, QueryError> {
-        let (schema, heap) = self.db.table(table)?;
-        Ok(BlobCursor {
-            schema,
-            scan: heap.scan(self.db.pool()),
-            pool: self.db.pool(),
-        })
-    }
-
-    /// Streaming cursor over *encoded* full-SFA blobs: `(DataKey, bytes)`.
-    /// Decoding is left to the consumer so parallel executors can decode
-    /// off the scan thread.
-    pub fn full_sfa_blobs(&self) -> Result<BlobCursor<'_>, QueryError> {
-        self.blob_cursor("FullSFAData")
-    }
-
-    /// Streaming cursor over encoded Staccato graph blobs.
-    pub fn staccato_blobs(&self) -> Result<BlobCursor<'_>, QueryError> {
-        self.blob_cursor("StaccatoGraph")
-    }
-
-    /// Streaming cursor over decoded full SFAs: `(DataKey, Sfa)`.
-    pub fn full_sfa_cursor(&self) -> Result<SfaCursor<'_>, QueryError> {
-        Ok(SfaCursor {
-            inner: self.full_sfa_blobs()?,
-        })
-    }
-
-    /// Streaming cursor over decoded Staccato chunk graphs.
-    pub fn staccato_cursor(&self) -> Result<SfaCursor<'_>, QueryError> {
-        Ok(SfaCursor {
-            inner: self.staccato_blobs()?,
-        })
-    }
-
-    /// Materialized MAP scan.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `map_cursor` (or `Staccato::execute`) instead"
-    )]
-    pub fn scan_map(&self) -> Result<Vec<(i64, String, f64)>, QueryError> {
-        self.map_cursor()?.collect()
-    }
-
-    /// Materialized k-MAP scan.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `kmap_cursor` (or `Staccato::execute`) instead"
-    )]
-    pub fn scan_kmap(&self) -> Result<Vec<KmapGroup>, QueryError> {
-        self.kmap_cursor()?.collect()
-    }
-
-    /// Materialized full-SFA scan.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `full_sfa_cursor` (or `Staccato::execute`) instead"
-    )]
-    pub fn scan_full_sfa(&self) -> Result<Vec<(i64, Sfa)>, QueryError> {
-        self.full_sfa_cursor()?.collect()
-    }
-
-    /// Materialized Staccato graph scan.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `staccato_cursor` (or `Staccato::execute`) instead"
-    )]
-    pub fn scan_staccato(&self) -> Result<Vec<(i64, Sfa)>, QueryError> {
-        self.staccato_cursor()?.collect()
-    }
-
     /// Point-fetch one Staccato graph through its primary-key B+-tree —
     /// the access path of index-assisted queries.
     pub fn get_staccato_graph(&self, key: i64) -> Result<Sfa, QueryError> {
@@ -624,10 +526,7 @@ impl OcrStore {
             .ok_or(QueryError::MissingRepresentation("StaccatoGraph row"))?;
         let (schema, heap) = self.db.table("StaccatoGraph")?;
         let row = heap.get(self.db.pool(), Rid::from_u64(rid))?;
-        let mut r = RowReader::new(&schema, &row);
-        r.int()?;
-        let blob = r.blob()?;
-        r.finish()?;
+        let (_, blob) = decode_blob_row(&schema, &row)?;
         let mut buf = Vec::new();
         blob.with_bytes(self.db.pool(), &mut buf, codec::decode)?
             .map_err(QueryError::from)
@@ -661,7 +560,6 @@ impl OcrStore {
 
 /// Streaming cursor over `MAPData`: yields `(DataKey, string, prob)`.
 pub struct MapCursor<'s> {
-    schema: Schema,
     scan: HeapScan<'s>,
 }
 
@@ -671,12 +569,8 @@ impl Iterator for MapCursor<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         let item = self.scan.next()?;
         Some(item.map_err(QueryError::from).and_then(|(_, bytes)| {
-            let row = staccato_storage::row::decode_row(&self.schema, &bytes)?;
-            Ok((
-                row[0].as_int().expect("schema"),
-                row[1].as_text().expect("schema").to_string(),
-                row[2].as_float().expect("schema").exp(),
-            ))
+            let (key, s, p) = decode_map_row(&bytes)?;
+            Ok((key, s.to_string(), p))
         }))
     }
 }
@@ -688,7 +582,6 @@ pub type KmapGroup = (i64, Vec<(String, f64)>);
 /// yields `(DataKey, [(string, prob)])`. Buffers one line's strings at a
 /// time — never the corpus.
 pub struct KmapCursor<'s> {
-    schema: Schema,
     scan: HeapScan<'s>,
     pending: Option<KmapGroup>,
     done: bool,
@@ -702,33 +595,27 @@ impl Iterator for KmapCursor<'_> {
             return None;
         }
         loop {
-            match self.scan.next() {
+            let row = self.scan.next().map(|item| {
+                let (_, bytes) = item?;
+                let (key, s, p) = decode_kmap_row(&bytes)?;
+                Ok((key, s.to_string(), p))
+            });
+            let (key, s, p) = match row {
                 None => {
                     self.done = true;
                     return self.pending.take().map(Ok);
                 }
                 Some(Err(e)) => {
                     self.done = true;
-                    return Some(Err(e.into()));
+                    return Some(Err(e));
                 }
-                Some(Ok((_, bytes))) => {
-                    let row = match staccato_storage::row::decode_row(&self.schema, &bytes) {
-                        Ok(row) => row,
-                        Err(e) => {
-                            self.done = true;
-                            return Some(Err(e.into()));
-                        }
-                    };
-                    let key = row[0].as_int().expect("schema");
-                    let s = row[2].as_text().expect("schema").to_string();
-                    let p = row[3].as_float().expect("schema").exp();
-                    match &mut self.pending {
-                        Some((k, v)) if *k == key => v.push((s, p)),
-                        Some(_) => {
-                            let group = self.pending.replace((key, vec![(s, p)]));
-                            return group.map(Ok);
-                        }
-                        None => self.pending = Some((key, vec![(s, p)])),
+                Some(Ok(row)) => row,
+            };
+            match &mut self.pending {
+                Some((k, v)) if *k == key => v.push((s, p)),
+                _ => {
+                    if let Some(group) = self.pending.replace((key, vec![(s, p)])) {
+                        return Some(Ok(group));
                     }
                 }
             }
@@ -738,7 +625,7 @@ impl Iterator for KmapCursor<'_> {
 
 /// Leading `DataKey` of an encoded row (all Table 5 schemas start with
 /// an `Int` key, stored as the first 8 little-endian bytes).
-fn row_key(bytes: &[u8]) -> Result<i64, QueryError> {
+pub(crate) fn row_key(bytes: &[u8]) -> Result<i64, QueryError> {
     let head = bytes
         .get(..8)
         .ok_or(StorageError::SchemaMismatch("row too short"))?;
@@ -755,132 +642,40 @@ fn kmap_schema_static() -> &'static Schema {
     S.get_or_init(kmap_schema)
 }
 
-/// Decode a raw `MAPData` row borrowed: `(string, prob)`. Performs the
-/// full [`RowReader`] validation [`MapCursor`] would, including the
-/// trailing-bytes check, and converts the stored log-prob with the same
-/// `exp()` so probabilities are bit-identical to the owned cursor's.
-pub(crate) fn decode_map_row(bytes: &[u8]) -> Result<(&str, f64), QueryError> {
+/// Decode a raw `MAPData` row borrowed: `(DataKey, string, prob)`, with
+/// the full [`RowReader`] validation (trailing bytes included). The
+/// stored log-prob converts with one `exp()`, the same on every path.
+pub(crate) fn decode_map_row(bytes: &[u8]) -> Result<(i64, &str, f64), QueryError> {
     let mut r = RowReader::new(map_schema_static(), bytes);
-    r.int()?;
+    let key = r.int()?;
     let s = r.text()?;
     let lp = r.float()?;
     r.finish()?;
-    Ok((s, lp.exp()))
+    Ok((key, s, lp.exp()))
 }
 
-/// Decode a raw `kMAPData` row borrowed: `(string, prob)`.
-pub(crate) fn decode_kmap_row(bytes: &[u8]) -> Result<(&str, f64), QueryError> {
+/// Decode a raw `kMAPData` row borrowed: `(DataKey, string, prob)`.
+pub(crate) fn decode_kmap_row(bytes: &[u8]) -> Result<(i64, &str, f64), QueryError> {
     let mut r = RowReader::new(kmap_schema_static(), bytes);
-    r.int()?;
+    let key = r.int()?;
     r.int()?;
     let s = r.text()?;
     let lp = r.float()?;
     r.finish()?;
-    Ok((s, lp.exp()))
+    Ok((key, s, lp.exp()))
 }
 
-/// Streaming cursor over raw `MAPData` row bytes: `(DataKey, row bytes)`.
-pub struct MapRawCursor<'s> {
-    scan: HeapScan<'s>,
-}
-
-impl Iterator for MapRawCursor<'_> {
-    type Item = Result<(i64, Vec<u8>), QueryError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.scan.next()?;
-        Some(
-            item.map_err(QueryError::from)
-                .and_then(|(_, bytes)| Ok((row_key(&bytes)?, bytes))),
-        )
-    }
-}
-
-/// One k-MAP line group of raw rows: `(DataKey, [row bytes])`.
-pub type KmapRawGroup = (i64, Vec<Vec<u8>>);
-
-/// Streaming cursor over raw `kMAPData` rows, grouping clustered rows by
-/// DataKey without decoding their payloads. Buffers one line's rows at a
-/// time — never the corpus.
-pub struct KmapRawCursor<'s> {
-    scan: HeapScan<'s>,
-    pending: Option<KmapRawGroup>,
-    done: bool,
-}
-
-impl Iterator for KmapRawCursor<'_> {
-    type Item = Result<KmapRawGroup, QueryError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            match self.scan.next() {
-                None => {
-                    self.done = true;
-                    return self.pending.take().map(Ok);
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e.into()));
-                }
-                Some(Ok((_, bytes))) => {
-                    let key = match row_key(&bytes) {
-                        Ok(key) => key,
-                        Err(e) => {
-                            self.done = true;
-                            return Some(Err(e));
-                        }
-                    };
-                    match &mut self.pending {
-                        Some((k, v)) if *k == key => v.push(bytes),
-                        Some(_) => {
-                            let group = self.pending.replace((key, vec![bytes]));
-                            return group.map(Ok);
-                        }
-                        None => self.pending = Some((key, vec![bytes])),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Streaming cursor over a blob table: yields `(DataKey, encoded bytes)`.
-pub struct BlobCursor<'s> {
-    schema: Schema,
-    scan: HeapScan<'s>,
-    pool: &'s BufferPool,
-}
-
-impl Iterator for BlobCursor<'_> {
-    type Item = Result<(i64, Vec<u8>), QueryError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.scan.next()?;
-        Some(item.map_err(QueryError::from).and_then(|(_, bytes)| {
-            let mut r = RowReader::new(&self.schema, &bytes);
-            let key = r.int()?;
-            let blob = r.blob()?;
-            r.finish()?;
-            Ok((key, blob.to_vec(self.pool)?))
-        }))
-    }
-}
-
-/// Streaming cursor decoding each blob into an [`Sfa`]: `(DataKey, Sfa)`.
-pub struct SfaCursor<'s> {
-    inner: BlobCursor<'s>,
-}
-
-impl Iterator for SfaCursor<'_> {
-    type Item = Result<(i64, Sfa), QueryError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.inner.next()?;
-        Some(item.and_then(|(key, data)| Ok((key, codec::decode(&data)?))))
-    }
+/// Decode a raw blob-table row (`FullSFAData`, `StaccatoGraph`) of
+/// `schema` borrowed: `(DataKey, blob)`.
+pub(crate) fn decode_blob_row<'r>(
+    schema: &'r Schema,
+    bytes: &'r [u8],
+) -> Result<(i64, BlobRef<'r>), QueryError> {
+    let mut r = RowReader::new(schema, bytes);
+    let key = r.int()?;
+    let blob = r.blob()?;
+    r.finish()?;
+    Ok((key, blob))
 }
 
 fn master_schema() -> Schema {
@@ -955,6 +750,21 @@ mod tests {
         OcrStore::load(db, &dataset, &opts).unwrap()
     }
 
+    /// Every `(DataKey, decoded graph)` of a blob table, in scan order.
+    fn decoded(
+        visit: impl FnOnce(
+            &mut dyn FnMut(i64, &[u8]) -> Result<(), QueryError>,
+        ) -> Result<(), QueryError>,
+    ) -> Vec<(i64, Sfa)> {
+        let mut out = Vec::new();
+        visit(&mut |key, blob| {
+            out.push((key, codec::decode(blob)?));
+            Ok(())
+        })
+        .unwrap();
+        out
+    }
+
     #[test]
     fn load_populates_all_tables() {
         let store = tiny_store();
@@ -967,65 +777,9 @@ mod tests {
             .unwrap();
         assert_eq!(kmap.len(), 12);
         assert!(kmap.iter().all(|(_, v)| !v.is_empty() && v.len() <= 5));
-        assert_eq!(store.full_sfa_cursor().unwrap().count(), 12);
-        assert_eq!(store.staccato_cursor().unwrap().count(), 12);
+        assert_eq!(decoded(|f| store.for_each_full_sfa_blob(f)).len(), 12);
+        assert_eq!(decoded(|f| store.for_each_staccato_blob(f)).len(), 12);
         assert_eq!(store.ground_truth_lines().unwrap().len(), 12);
-    }
-
-    #[test]
-    fn deprecated_scans_equal_cursors() {
-        let store = tiny_store();
-        #[allow(deprecated)]
-        let via_scan = store.scan_map().unwrap();
-        let via_cursor: Vec<_> = store
-            .map_cursor()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(via_scan, via_cursor);
-    }
-
-    #[test]
-    fn raw_cursors_agree_with_owned_cursors() {
-        let store = tiny_store();
-        let owned: Vec<_> = store
-            .map_cursor()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let raw: Vec<_> = store
-            .map_raw_cursor()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(owned.len(), raw.len());
-        for ((k1, s1, p1), (k2, bytes)) in owned.iter().zip(&raw) {
-            assert_eq!(k1, k2);
-            let (s2, p2) = decode_map_row(bytes).unwrap();
-            assert_eq!(s1, s2);
-            assert_eq!(p1.to_bits(), p2.to_bits());
-        }
-
-        let owned: Vec<_> = store
-            .kmap_cursor()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let raw: Vec<_> = store
-            .kmap_raw_cursor()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(owned.len(), raw.len());
-        for ((k1, strings), (k2, rows)) in owned.iter().zip(&raw) {
-            assert_eq!(k1, k2);
-            assert_eq!(strings.len(), rows.len());
-            for ((s1, p1), bytes) in strings.iter().zip(rows) {
-                let (s2, p2) = decode_kmap_row(bytes).unwrap();
-                assert_eq!(s1, s2);
-                assert_eq!(p1.to_bits(), p2.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -1042,8 +796,7 @@ mod tests {
     #[test]
     fn staccato_graph_has_at_most_m_chunks() {
         let store = tiny_store();
-        for item in store.staccato_cursor().unwrap() {
-            let (_, g) = item.unwrap();
+        for (_, g) in decoded(|f| store.for_each_staccato_blob(f)) {
             assert!(g.edge_count() <= 8);
             for (_, e) in g.edges() {
                 assert!(e.emissions.len() <= 5);
@@ -1054,11 +807,7 @@ mod tests {
     #[test]
     fn point_lookup_matches_scan() {
         let store = tiny_store();
-        let all: Vec<_> = store
-            .staccato_cursor()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let all = decoded(|f| store.for_each_staccato_blob(f));
         let (key, via_scan) = &all[7];
         let via_pk = store.get_staccato_graph(*key).unwrap();
         assert_eq!(codec::encode(via_scan), codec::encode(&via_pk));

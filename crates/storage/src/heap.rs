@@ -5,7 +5,7 @@
 use crate::blob::BlobStore;
 use crate::error::StorageError;
 use crate::page::{SlottedPage, MAX_TUPLE};
-use crate::pager::BufferPool;
+use crate::pager::{BufferPool, PageRead};
 use crate::row::{encode_row, Row, Schema, Value};
 use crate::{PageId, NO_PAGE};
 use parking_lot::Mutex;
@@ -171,88 +171,187 @@ impl HeapFile {
         pool: &BufferPool,
         mut f: impl FnMut(Rid, &[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut pid = self.first;
-        while pid != NO_PAGE {
-            let sp = SlottedPage::view(pool.fetch_read(pid)?);
-            for (slot, bytes) in sp.iter() {
-                f(Rid { page: pid, slot }, bytes)?;
+        let pages = self.pages(pool);
+        while let Some(page) = pages.claim()? {
+            for (rid, bytes) in page.rows() {
+                f(rid, bytes)?;
             }
-            pid = sp.next();
         }
         Ok(())
+    }
+
+    /// A cursor handing out this heap's pages in chain order (see
+    /// [`ChainCursor`]).
+    pub fn pages<'p>(&self, pool: &'p BufferPool) -> ChainCursor<'p> {
+        ChainCursor::new(pool, self.first)
     }
 
     /// Full scan in chain order. Tuples are copied out page by page, so
     /// the iterator holds no page pins between steps.
     pub fn scan<'p>(&self, pool: &'p BufferPool) -> HeapScan<'p> {
         HeapScan {
-            pool,
-            next_page: self.first,
+            pages: self.pages(pool),
             buffer: Vec::new().into_iter(),
-            failed: false,
         }
+    }
+}
+
+/// Hands out the pages of one page chain, in chain order, to one reader
+/// or to many workers sharing it: each page goes to exactly one
+/// [`ChainCursor::claim`]. Every heap read walks its chain through one,
+/// so a `next` pointer that loops ends the walk with
+/// [`StorageError::CorruptPage`] (`"page chain cycle"`) after more hops
+/// than the pool has pages, instead of spinning forever.
+pub struct ChainCursor<'p> {
+    pool: &'p BufferPool,
+    state: Mutex<ChainState>,
+}
+
+struct ChainState {
+    next: PageId,
+    /// The last page handed out that holds a live row.
+    last_with_rows: PageId,
+    hops: u64,
+    limit: u64,
+}
+
+impl<'p> ChainCursor<'p> {
+    /// A cursor over the chain starting at `first` (`NO_PAGE`: empty).
+    pub(crate) fn new(pool: &'p BufferPool, first: PageId) -> ChainCursor<'p> {
+        ChainCursor {
+            pool,
+            state: Mutex::new(ChainState {
+                next: first,
+                last_with_rows: NO_PAGE,
+                hops: 0,
+                limit: pool.page_count() + 1,
+            }),
+        }
+    }
+
+    /// Claim the next page, read-latched; `None` once the chain (or a
+    /// [`ChainCursor::stop`]ped cursor) is exhausted. After an error the
+    /// cursor is exhausted too.
+    pub fn claim(&self) -> Result<Option<ChainPage<'p>>, StorageError> {
+        let mut st = self.state.lock();
+        let pid = st.next;
+        if pid == NO_PAGE {
+            return Ok(None);
+        }
+        st.next = NO_PAGE;
+        st.hops += 1;
+        if st.hops > st.limit {
+            // The chain may have grown since the walk began; only a walk
+            // longer than the whole pool is a cycle.
+            st.limit = self.pool.page_count() + 1;
+            if st.hops > st.limit {
+                return Err(StorageError::CorruptPage {
+                    page: pid,
+                    reason: "page chain cycle",
+                });
+            }
+        }
+        let page = SlottedPage::view(self.pool.fetch_read(pid)?);
+        st.next = page.next();
+        let prev = st.last_with_rows;
+        if page.iter().next().is_some() {
+            st.last_with_rows = pid;
+        }
+        Ok(Some(ChainPage {
+            pool: self.pool,
+            pid,
+            prev,
+            page,
+        }))
+    }
+
+    /// Hand out no further pages (a worker failed; the others finish the
+    /// page they hold and stop).
+    pub fn stop(&self) {
+        self.state.lock().next = NO_PAGE;
+    }
+}
+
+/// One page claimed from a [`ChainCursor`], read-latched while it lives.
+pub struct ChainPage<'p> {
+    pool: &'p BufferPool,
+    pid: PageId,
+    /// The closest earlier page of the walk that holds a live row.
+    prev: PageId,
+    page: SlottedPage<PageRead>,
+}
+
+impl<'p> ChainPage<'p> {
+    /// This page's id.
+    pub fn id(&self) -> PageId {
+        self.pid
+    }
+
+    /// Live rows in slot order, borrowed from the latched page.
+    pub fn rows(&self) -> impl Iterator<Item = (Rid, &[u8])> {
+        let page = self.pid;
+        self.page
+            .iter()
+            .map(move |(slot, bytes)| (Rid { page, slot }, bytes))
+    }
+
+    /// Apply `f` to the row just before this page's first row in the walk
+    /// (the last live row of the closest earlier page that has one);
+    /// `None` at the walk's start.
+    pub fn with_row_before<R>(
+        &self,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, StorageError> {
+        if self.prev == NO_PAGE {
+            return Ok(None);
+        }
+        let prev = SlottedPage::view(self.pool.fetch_read(self.prev)?);
+        let row = prev.iter().next_back().map(|(_, bytes)| f(bytes));
+        Ok(row)
+    }
+
+    /// A private cursor over the rest of the chain after this page.
+    pub fn rest(&self) -> ChainCursor<'p> {
+        ChainCursor::new(self.pool, self.page.next())
     }
 }
 
 /// Iterator over `(Rid, tuple bytes)` of a heap file.
 pub struct HeapScan<'p> {
-    pool: &'p BufferPool,
-    next_page: PageId,
+    pages: ChainCursor<'p>,
     buffer: std::vec::IntoIter<(Rid, Vec<u8>)>,
-    failed: bool,
 }
 
 impl Iterator for HeapScan<'_> {
     type Item = Result<(Rid, Vec<u8>), StorageError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
         loop {
             if let Some(item) = self.buffer.next() {
                 return Some(Ok(item));
             }
-            if self.next_page == NO_PAGE {
-                return None;
-            }
-            let pid = self.next_page;
-            let sp = match self.pool.fetch_read(pid) {
-                Ok(p) => SlottedPage::view(p),
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
+            let page = match self.pages.claim() {
+                Ok(page) => page?,
+                Err(e) => return Some(Err(e)),
             };
-            self.buffer = sp
-                .iter()
-                .map(|(slot, t)| (Rid { page: pid, slot }, t.to_vec()))
+            self.buffer = page
+                .rows()
+                .map(|(rid, t)| (rid, t.to_vec()))
                 .collect::<Vec<_>>()
                 .into_iter();
-            self.next_page = sp.next();
         }
     }
 }
 
 /// Walk a chain from `first` under read latches: `(pages, last page)`.
 fn walk_chain(pool: &BufferPool, first: PageId) -> Result<(u64, PageId), StorageError> {
-    let mut n = 0;
-    let mut pid = first;
-    let limit = pool.page_count() + 1;
-    loop {
+    let pages = ChainCursor::new(pool, first);
+    let (mut n, mut last) = (0, first);
+    while let Some(page) = pages.claim()? {
         n += 1;
-        if n > limit {
-            return Err(StorageError::CorruptPage {
-                page: pid,
-                reason: "page chain cycle",
-            });
-        }
-        let next = SlottedPage::view(pool.fetch_read(pid)?).next();
-        if next == NO_PAGE {
-            return Ok((n, pid));
-        }
-        pid = next;
+        last = page.id();
     }
+    Ok((n, last))
 }
 
 /// Number of pages a heap file occupies (walks the chain).
@@ -469,6 +568,135 @@ mod tests {
             heap.insert_row(&pool, &wide, &row),
             Err(StorageError::TupleTooLarge { .. })
         ));
+    }
+
+    /// A heap of 60 rows of 1000 bytes (several pages) whose last page
+    /// points back at its first.
+    fn looping_heap(pool: &BufferPool) -> HeapFile {
+        let heap = HeapFile::create(pool).unwrap();
+        for i in 0..60u8 {
+            heap.insert(pool, &[i; 1000]).unwrap();
+        }
+        let (pages, last) = walk_chain(pool, heap.first_page()).unwrap();
+        assert!(pages >= 3);
+        SlottedPage::new(&mut pool.fetch_write(last).unwrap()).set_next(heap.first_page());
+        heap
+    }
+
+    fn is_cycle(e: &StorageError) -> bool {
+        matches!(
+            e,
+            StorageError::CorruptPage {
+                reason: "page chain cycle",
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn a_looping_chain_ends_every_walk_with_a_typed_error() {
+        let pool = pool();
+        let heap = looping_heap(&pool);
+        let err = heap
+            .for_each_row(&pool, |_, _| -> Result<(), StorageError> { Ok(()) })
+            .unwrap_err();
+        assert!(is_cycle(&err), "for_each_row: {err}");
+        let mut scan = heap.scan(&pool);
+        let err = scan.find_map(Result::err).expect("scan ends in an error");
+        assert!(is_cycle(&err), "scan: {err}");
+        assert!(scan.next().is_none(), "a failed scan stays done");
+        assert!(is_cycle(
+            &chain_length(&pool, heap.first_page()).unwrap_err()
+        ));
+        // Workers sharing one cursor: exactly one sees the error, and the
+        // cursor hands out nothing after it.
+        let pages = heap.pages(&pool);
+        let errors: Vec<StorageError> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        match pages.claim() {
+                            Ok(Some(_)) => continue,
+                            Ok(None) => return None,
+                            Err(e) => return Some(e),
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .filter_map(|w| w.join().unwrap())
+                .collect()
+        });
+        assert_eq!(errors.len(), 1);
+        assert!(is_cycle(&errors[0]));
+        assert!(pages.claim().unwrap().is_none());
+    }
+
+    #[test]
+    fn shared_cursor_hands_out_each_page_once() {
+        let pool = pool();
+        let heap = HeapFile::create(&pool).unwrap();
+        for i in 0..60u8 {
+            heap.insert(&pool, &[i; 1000]).unwrap();
+        }
+        let pages = heap.pages(&pool);
+        let mut seen: Vec<(Rid, u8)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut rows = Vec::new();
+                        while let Some(page) = pages.claim().unwrap() {
+                            rows.extend(page.rows().map(|(rid, t)| (rid, t[0])));
+                        }
+                        rows
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        seen.sort();
+        let scanned: Vec<(Rid, u8)> = heap
+            .scan(&pool)
+            .map(|r| r.unwrap())
+            .map(|(rid, t)| (rid, t[0]))
+            .collect();
+        assert_eq!(seen, scanned);
+    }
+
+    #[test]
+    fn a_page_knows_the_row_before_it_and_the_rest_of_the_chain() {
+        let pool = pool();
+        let heap = HeapFile::create(&pool).unwrap();
+        for i in 0..60u8 {
+            heap.insert(&pool, &[i; 1000]).unwrap();
+        }
+        let pages = heap.pages(&pool);
+        let first = pages.claim().unwrap().unwrap();
+        assert_eq!(first.with_row_before(|r| r[0]).unwrap(), None);
+        let last_of_first = first.rows().last().unwrap().1[0];
+        drop(first);
+        let second = pages.claim().unwrap().unwrap();
+        assert_eq!(
+            second.with_row_before(|r| r[0]).unwrap(),
+            Some(last_of_first)
+        );
+        // The rest of the chain after the second page holds exactly the
+        // rows the shared cursor has not handed out yet.
+        let rest = second.rest();
+        let mut ahead = Vec::new();
+        while let Some(page) = rest.claim().unwrap() {
+            ahead.extend(page.rows().map(|(_, t)| t[0]));
+        }
+        let mut remaining = Vec::new();
+        while let Some(page) = pages.claim().unwrap() {
+            remaining.extend(page.rows().map(|(_, t)| t[0]));
+        }
+        assert!(!ahead.is_empty());
+        assert_eq!(ahead, remaining);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use btree::BTree;
 pub use catalog::{Catalog, Database, TableDef};
 pub use disk::{Disk, FileDisk, MemDisk, PAGE_SIZE};
 pub use error::StorageError;
-pub use heap::{HeapFile, HeapScan, Rid};
+pub use heap::{ChainCursor, ChainPage, HeapFile, HeapScan, Rid};
 pub use pager::{BufferPool, PoolStats};
 pub use rcu::RcuCell;
 pub use row::{ColumnType, Row, RowReader, Schema, Value};

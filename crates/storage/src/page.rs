@@ -112,8 +112,8 @@ impl<B: Deref<Target = [u8; PAGE_SIZE]>> SlottedPage<B> {
         Ok(&self.buf[o..o + l])
     }
 
-    /// Iterate live `(slot, tuple)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
+    /// Iterate live `(slot, tuple)` pairs, from either end.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (u16, &[u8])> {
         (0..self.nslots()).filter_map(move |i| {
             let (o, l) = self.slot(i);
             if o == TOMBSTONE {

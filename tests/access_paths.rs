@@ -7,9 +7,11 @@ use staccato::approx::StaccatoParams;
 use staccato::ocr::{generate, ChannelConfig, CorpusKind};
 use staccato::query::store::{LoadOptions, OcrStore};
 use staccato::query::RecoverOptions;
-use staccato::storage::Database;
-use staccato::{Approach, DocumentInput, IngestBatch, QueryRequest, Staccato, SyncPolicy};
-use std::collections::HashSet;
+use staccato::storage::{Database, StorageError};
+use staccato::{
+    AggregateFunc, Approach, DocumentInput, IngestBatch, QueryRequest, Staccato, SyncPolicy,
+};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 
 struct TempDir(PathBuf);
@@ -106,6 +108,108 @@ fn freshly_loaded_store_answers_each_line_once() {
     let session = Staccato::load(db, &dataset, &englishlit_options()).expect("load");
     assert_eq!(session.line_count(), 40);
     assert_one_answer_per_line(&session, "fresh load");
+}
+
+/// k-MAP lines whose rows straddle heap pages fold to the same bits at
+/// every worker count: a line belongs to the worker holding the page of
+/// its first row, which reads ahead to finish it, and whoever holds the
+/// next page skips the continuation. MAP rides along as the one-row case.
+#[test]
+fn straddling_kmap_lines_fold_bit_identically_at_every_worker_count() {
+    let dataset = generate(CorpusKind::EnglishLit, 40, 42);
+    let db = Database::in_memory(2048).expect("db");
+    let session = Staccato::load(db, &dataset, &englishlit_options()).expect("load");
+    let store = session.store();
+    let lines = session.line_count();
+
+    // Precondition: some line's kMAPData rows sit on two heap pages.
+    let (_, heap) = store.table("kMAPData").expect("table");
+    let mut pages_of: BTreeMap<i64, BTreeSet<u64>> = BTreeMap::new();
+    let mut kmap_rows = 0u64;
+    heap.for_each_row(store.db().pool(), |rid, row| -> Result<(), StorageError> {
+        let key = i64::from_le_bytes(row[..8].try_into().expect("DataKey"));
+        pages_of.entry(key).or_default().insert(rid.page);
+        kmap_rows += 1;
+        Ok(())
+    })
+    .expect("walk kMAPData");
+    let straddling = pages_of.values().filter(|p| p.len() > 1).count();
+    assert!(straddling > 0, "no k-MAP line straddles a page");
+
+    for pattern in ["e", "the", "(a|e)n", "Ho"] {
+        let request = QueryRequest::regex(pattern).num_ans(10 * lines);
+        let query = request.compile().expect("pattern compiles");
+        let mut kmap_oracle = BTreeMap::new();
+        for group in store.kmap_cursor().expect("k-MAP cursor") {
+            let (key, strings) = group.expect("k-MAP row");
+            let out = query
+                .kernel
+                .eval_string_group(strings.iter().map(|(s, p)| (s.as_str(), *p)));
+            kmap_oracle.insert(key, out.probability);
+        }
+        let mut map_oracle = BTreeMap::new();
+        for row in store.map_cursor().expect("MAP cursor") {
+            let (key, s, p) = row.expect("MAP row");
+            map_oracle.insert(key, query.kernel.eval_string(&s, p).probability);
+        }
+        for (approach, oracle) in [(Approach::KMap, &kmap_oracle), (Approach::Map, &map_oracle)] {
+            let what = |threads: usize| format!("{approach:?} {pattern:?} at {threads} workers");
+            let expect: BTreeMap<i64, u64> = oracle
+                .iter()
+                .filter(|(_, p)| **p > 0.0)
+                .map(|(k, p)| (*k, p.to_bits()))
+                .collect();
+            let serial = session
+                .execute(&request.clone().approach(approach))
+                .expect("serial scan");
+            for threads in [1, 2, 4] {
+                let out = session
+                    .execute(&request.clone().approach(approach).parallelism(threads))
+                    .expect("scan");
+                let got: BTreeMap<i64, u64> = out
+                    .answers
+                    .iter()
+                    .map(|a| (a.data_key, a.probability.to_bits()))
+                    .collect();
+                assert_eq!(
+                    got.len(),
+                    out.answers.len(),
+                    "{}: repeated DataKey",
+                    what(threads)
+                );
+                assert_eq!(got, expect, "{}", what(threads));
+                assert_eq!(out.stats.lines_evaluated, lines as u64, "{}", what(threads));
+                assert_eq!(
+                    out.stats.rows_scanned,
+                    serial.stats.rows_scanned,
+                    "{}",
+                    what(threads)
+                );
+                assert_eq!(
+                    out.stats.prescreen_skipped,
+                    serial.stats.prescreen_skipped,
+                    "{}",
+                    what(threads)
+                );
+                let count = session
+                    .execute(
+                        &request
+                            .clone()
+                            .approach(approach)
+                            .parallelism(threads)
+                            .aggregate(AggregateFunc::CountStar),
+                    )
+                    .expect("COUNT(*)")
+                    .aggregate
+                    .expect("aggregate result")
+                    .value;
+                assert_eq!(count, expect.len() as f64, "{}: COUNT(*)", what(threads));
+            }
+            if approach == Approach::KMap {
+                assert_eq!(serial.stats.rows_scanned, kmap_rows);
+            }
+        }
+    }
 }
 
 #[test]

@@ -8,6 +8,7 @@ use staccato::query::store::LoadOptions;
 use staccato::query::{Query, QueryError, RecoverOptions};
 use staccato::server::{HttpClient, Server, ServerConfig};
 use staccato::sfa::codec;
+use staccato::storage::page::SlottedPage;
 use staccato::storage::{
     BlobRef, BlobStore, ColumnType, Database, RowReader, Schema, StorageError, Value,
 };
@@ -110,6 +111,135 @@ fn corrupt_overflow_sfa_blob_surfaces_typed_error() {
         page[12..16].copy_from_slice(b"XXXX");
     }
     assert_fullsfa_fails_typed(&session);
+}
+
+/// Apply `stomp` to the on-page bytes of `table`'s first row, in place.
+fn stomp_first_row(session: &Staccato, table: &str, stomp: impl FnOnce(&mut [u8])) {
+    let store = session.store();
+    let pool = store.db().pool();
+    let (_, heap) = store.table(table).expect("table");
+    let (rid, row) = heap.scan(pool).next().expect("row").expect("scan");
+    let mut page = pool.fetch_write(rid.page).expect("page");
+    let at = page
+        .windows(row.len())
+        .position(|w| w == &row[..])
+        .expect("row bytes on its page");
+    stomp(&mut page[at..at + row.len()]);
+}
+
+/// `broken`'s FileScan fails with a typed storage error (no panic) on the
+/// serial and the parallel path, while the other representations answer.
+fn assert_scan_fails_typed(session: &Staccato, broken: Approach) {
+    let request = QueryRequest::keyword("data").num_ans(10);
+    for threads in [1, 4] {
+        let err = session
+            .execute(&request.clone().approach(broken).parallelism(threads))
+            .unwrap_err();
+        assert!(
+            matches!(err, QueryError::Storage(StorageError::SchemaMismatch(_))),
+            "{broken:?} at {threads} workers: got {err:?}"
+        );
+    }
+    for other in [
+        Approach::Map,
+        Approach::KMap,
+        Approach::FullSfa,
+        Approach::Staccato,
+    ] {
+        if other != broken {
+            session
+                .execute(&request.clone().approach(other).parallelism(4))
+                .unwrap_or_else(|e| panic!("{other:?} still answers: {e}"));
+        }
+    }
+}
+
+/// A `MAPData` / `kMAPData` row whose text column claims more bytes than
+/// the row holds, or holds bytes that are not UTF-8, is refused with a
+/// typed error by the borrowed row decode.
+#[test]
+fn corrupt_map_and_kmap_rows_surface_typed_errors() {
+    // Text column offsets: MAP rows are [DataKey][len u32][text][LogProb],
+    // k-MAP rows have LineNum before the text.
+    for (table, approach, len_at) in [
+        ("MAPData", Approach::Map, 8),
+        ("kMAPData", Approach::KMap, 16),
+    ] {
+        let session = tiny_session();
+        stomp_first_row(&session, table, |row| {
+            row[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        assert_scan_fails_typed(&session, approach);
+
+        let session = tiny_session();
+        stomp_first_row(&session, table, |row| {
+            let len = u32::from_le_bytes(row[len_at..len_at + 4].try_into().unwrap());
+            assert!(len > 0, "the first {table} string is not empty");
+            row[len_at + 4] = 0xFF;
+        });
+        assert_scan_fails_typed(&session, approach);
+    }
+}
+
+/// A heap page whose `next` pointer loops back to the table's first page
+/// must end every FileScan of that table with a typed error — serially
+/// and in parallel — instead of spinning forever. The scans run on a
+/// watchdog thread so a regression fails here instead of hanging.
+#[test]
+fn looping_heap_chain_fails_every_filescan_typed() {
+    let dataset = generate(CorpusKind::DbPapers, 120, 3);
+    let db = Database::in_memory(1024).expect("db");
+    let opts = LoadOptions {
+        channel: ChannelConfig::compact(3),
+        kmap_k: 5,
+        staccato: StaccatoParams::new(4, 3),
+        parallelism: 2,
+    };
+    let session = Arc::new(Staccato::load(db, &dataset, &opts).expect("load"));
+    let tables = [
+        ("MAPData", Approach::Map),
+        ("kMAPData", Approach::KMap),
+        ("FullSFAData", Approach::FullSfa),
+        ("StaccatoGraph", Approach::Staccato),
+    ];
+    for (table, _) in tables {
+        let store = session.store();
+        let pool = store.db().pool();
+        let (_, heap) = store.table(table).expect("table");
+        let pages = heap.pages(pool);
+        let (mut count, mut last) = (0, heap.first_page());
+        while let Some(page) = pages.claim().expect("intact chain") {
+            count += 1;
+            last = page.id();
+        }
+        assert!(count >= 2, "{table} spans {count} page(s)");
+        SlottedPage::new(&mut pool.fetch_write(last).expect("page")).set_next(heap.first_page());
+    }
+    for (table, approach) in tables {
+        for threads in [1, 4] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let scanner = Arc::clone(&session);
+            std::thread::spawn(move || {
+                let request = QueryRequest::keyword("data")
+                    .approach(approach)
+                    .parallelism(threads);
+                let _ = tx.send(scanner.execute(&request).map(|out| out.answers.len()));
+            });
+            let result = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{table} scan at {threads} workers never ended"));
+            assert!(
+                matches!(
+                    result,
+                    Err(QueryError::Storage(StorageError::CorruptPage {
+                        reason: "page chain cycle",
+                        ..
+                    }))
+                ),
+                "{table} at {threads} workers: got {result:?}"
+            );
+        }
+    }
 }
 
 #[test]
